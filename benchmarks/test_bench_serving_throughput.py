@@ -2,9 +2,9 @@
 
 The deployment the paper targets is a multi-tenant service annotating
 customer tables online.  This experiment measures the serving layer built for
-that setting: ``SigmaTyper.annotate_corpus`` sharded across the ``serial``,
-``threaded``, and ``multiprocess`` execution backends at several worker
-counts, plus the shared content-hash :class:`ProfileStore` that lets
+that setting: ``SigmaTyper.annotate_corpus`` sharded across the ``serial``
+and ``multiprocess`` execution backends at several worker counts, plus the
+shared content-hash :class:`ProfileStore` that lets
 short-lived tables reuse warm derived state.
 
 Two properties are pinned:
@@ -68,8 +68,6 @@ def test_serving_throughput(benchmark, sigmatyper, serving_corpus, record_result
 
     configurations = [
         ("serial", 1, None),
-        ("threaded", 2, "threaded:2"),
-        ("threaded", 4, "threaded:4"),
         ("multiprocess", 2, "multiprocess:2"),
         ("multiprocess", 4, "multiprocess:4"),
     ]
@@ -159,7 +157,7 @@ def test_serving_throughput(benchmark, sigmatyper, serving_corpus, record_result
     best_parallel = max(
         row["speedup_vs_serial"]
         for row in rows
-        if row["backend"] in ("threaded", "multiprocess")
+        if row["backend"] == "multiprocess"
     )
     if usable_cpus >= 4:
         assert best_parallel >= 2.0, (

@@ -29,7 +29,6 @@ EXPERIMENTS = {
     "E10_cascade_latency": ("PR 1", "confidence-gated cascade vs exhaustive pipeline"),
     "E11_serving_throughput": ("PR 2", "execution backends sharding a corpus by table"),
     "E12_store_persistence": ("PR 3/4", "profile store reuse across process restarts"),
-    "E13_shard_transport": ("PR 5", "zero-copy shm column blocks vs pickled shards"),
     "E14_frontend_slo": ("PR 6", "HTTP front end under overload (shedding + SLO degrade)"),
     "E15_columnar_kernels": ("PR 7", "block-native vectorized profiling & featurization"),
     "E16_net_transport": ("PR 8", "column blocks over TCP to remote block workers, chaos-hardened"),
@@ -77,12 +76,6 @@ def _headline(experiment: str, data: dict) -> str:
             f"({data['restart_disk_hits']} of {data['flushed_entries']} flushed "
             f"entries served from disk, zero recomputation)"
         )
-    if experiment == "E13_shard_transport":
-        return (
-            f"shm ships {data['bytes_per_shard_ratio']:,.0f}x fewer result bytes "
-            f"per shard than pickle (gate {data['bytes_ratio_bar']:g}x), "
-            f"{len(data.get('leaked_segments', []))} leaked segments"
-        )
     if experiment == "E14_frontend_slo":
         return (
             f"HTTP capacity {data['http_capacity_per_second']:g}/s of serial "
@@ -103,8 +96,7 @@ def _headline(experiment: str, data: dict) -> str:
             f"loopback TCP bit-identical to serial; chaos run "
             f"({len(data.get('chaos_faults', []))} injected faults) also "
             f"bit-identical with {chaos.get('local_fallbacks', '?')} counted local "
-            f"fallbacks, {len(data.get('leaked_segments', []))} leaked segments, "
-            f"{len(data.get('leaked_sockets', []))} leaked sockets"
+            f"fallbacks, {len(data.get('leaked_sockets', []))} leaked sockets"
         )
     if experiment == "E17_pool_routing":
         drill = data.get("kill_drill", {})

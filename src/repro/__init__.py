@@ -49,7 +49,6 @@ from repro.serving import (
     ServingSpec,
     SloConfig,
     SloController,
-    ThreadedBackend,
 )
 
 __version__ = "1.1.0"
@@ -91,7 +90,6 @@ __all__ = [
     "PersistentProfileStore",
     "ExecutionBackend",
     "SerialBackend",
-    "ThreadedBackend",
     "MultiprocessBackend",
     # corpora
     "TableCorpus",

@@ -1,6 +1,6 @@
 """RL003: resource lifecycle — close/unlink guaranteed on all paths.
 
-The invariant the E13/E16 ``/dev/shm`` scans and "LEAKED SEGMENT"/"LEAKED
+The invariant the CI ``/dev/shm`` scans and "LEAKED SEGMENT"/"LEAKED
 SOCKET" log greps probe at *runtime*: every ``SharedMemory`` segment,
 ``mmap``, socket, and file handle must be released on every path — context
 manager, ``finally``, or an explicit ownership transfer to an object whose
@@ -80,9 +80,10 @@ open() handles that are not guaranteed to be released, i.e. none of:
   * a bare constructor expression (e.g. `json.load(open(p))`) is always a
     leak: nobody holds the handle.
 
-Why: the transport layer's segments outlive exceptions ONLY because every
-path releases them — PR 5's lifecycle tests and the E13/E16 CI scans check
-this dynamically, per run; RL003 checks every path, per commit.
+Why: the serving layer's segments, mmaps and sockets outlive exceptions
+ONLY because every path releases them — the lifecycle tests and the CI
+leak scans check this dynamically, per run; RL003 checks every path, per
+commit.
 """
 
     def check_module(self, module):

@@ -32,7 +32,7 @@ RL005 stats-counter-safety (src/ only)
 
 In any class whose __init__ declares a lock attribute
 (`self._lock = threading.Lock()/RLock()`), every augmented assignment to an
-instance attribute (`self.hits += 1`, `self.stats.shm_bytes += n`,
+instance attribute (`self.hits += 1`, `self.stats.bytes_shipped += n`,
 `self.stats["frame_errors"] += 1`) must sit lexically inside
 `with self.<that lock>:` — or the whole method must carry a lock-taking
 decorator (any decorator whose name mentions "lock", e.g.

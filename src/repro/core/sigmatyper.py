@@ -20,14 +20,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
 from repro.adaptation.customer import CustomerContext
 from repro.adaptation.global_model import GlobalModel, GlobalModelConfig
 from repro.adaptation.local_model import LocalModelConfig
-from repro.core import colblock
 from repro.core.aggregation import calibrate_tau
 from repro.core.errors import ConfigurationError, PipelineError
 from repro.core.ontology import TypeOntology, UNKNOWN_TYPE
@@ -221,7 +220,6 @@ class SigmaTyper:
         tables: Iterable[Table],
         customer_id: str | None = None,
         backend: "ExecutionBackend | str | None" = None,
-        columnar: bool | None = None,
     ) -> list[TablePrediction]:
         """Bulk-annotate many tables (a :class:`TableCorpus` or any iterable).
 
@@ -229,56 +227,51 @@ class SigmaTyper:
         identical to calling :meth:`annotate` in a loop, but the batched
         pipeline steps and the memoized profile/embedding caches are shared
         across the whole corpus.  Adapted customers ride the same bulk path:
-        the exhaustive pipeline annotates the corpus with
-        ``annotate_many`` and the global/local blend is vectorized per table.
+        the exhaustive pipeline annotates each table and the global/local
+        blend is vectorized per table.
 
         ``backend`` shards the corpus by table across workers — ``None`` /
-        ``"serial"`` runs in-process, ``"threaded"`` / ``"multiprocess"`` (or
-        an :class:`~repro.serving.backends.ExecutionBackend` instance, e.g.
-        ``"multiprocess:4"``) fan out; every backend returns predictions
-        identical to the serial path.  The multiprocess spec may also name a
-        shard transport — ``"multiprocess:4+shm"`` ships shards as zero-copy
-        shared-memory column blocks instead of pickle (see
-        :mod:`repro.serving.transport`), again with bit-identical results.
-
-        ``columnar`` controls the block-native kernel path
-        (:mod:`repro.core.colblock`): ``None`` (default) enables it whenever
-        kernels are enabled process-wide, ``False`` forces the per-value
-        Python path.  For in-process backends the tables are converted via
-        :meth:`~repro.core.table.Table.to_block` so profiling and
-        featurization run vectorized; multiprocess workers already receive
-        kernel-ready views straight from the shm transport.  Predictions are
-        bit-identical either way.
+        ``"serial"`` runs in-process, ``"multiprocess"`` (or an
+        :class:`~repro.serving.backends.ExecutionBackend` instance, e.g.
+        ``"multiprocess:4"``) fans out; every backend runs the same shard
+        function and returns predictions identical to the serial path.
         """
-        from repro.serving.backends import MultiprocessBackend, resolve_backend
+        from repro.serving.backends import resolve_backend
 
-        tables = list(tables)
         execution = resolve_backend(backend)
-        use_columnar = columnar if columnar is not None else colblock.kernels_enabled()
-        if (
-            use_columnar
-            and colblock.kernels_enabled()
-            and not isinstance(execution, MultiprocessBackend)
-        ):
-            tables = [table.to_block() for table in tables]
-        if customer_id is None:
-            return execution.run(self.global_model.pipeline.annotate_many, tables)
-        context = self.customer(customer_id)
-        if not context.local_model.has_adaptations():
-            return execution.run(self.global_model.pipeline.annotate_many, tables)
-        return execution.run(partial(self._annotate_adapted_many, customer_id), tables)
+        if customer_id is not None and not self.customer(customer_id).local_model.has_adaptations():
+            customer_id = None
+        return execution.run(partial(self._annotate_shard, customer_id), list(tables))
 
-    def _annotate_adapted_many(
-        self, customer_id: str, tables: Sequence[Table]
+    def _annotate_shard(
+        self, customer_id: str | None, tables: list[Table]
     ) -> list[TablePrediction]:
-        """One shard of the adapted-customer bulk path (backend-friendly)."""
-        context = self.customer(customer_id)
-        pipeline = self._exhaustive_pipeline()
-        global_predictions = pipeline.annotate_many(list(tables))
-        return [
-            self._blend_with_local(table, prediction, context)
-            for table, prediction in zip(tables, global_predictions)
-        ]
+        """One shard of :meth:`annotate_corpus`, run where the shard runs.
+
+        Every backend calls this: in-process for serial, inside each worker
+        (after the shard was unpickled) for multiprocess, and on the tcp
+        transport's local fallback.  With the columnar kernels enabled
+        (:mod:`repro.core.colblock`), each table is converted by
+        :meth:`~repro.core.table.Table.to_block` just before it is annotated,
+        so profiling and featurization run vectorized; predictions are
+        bit-identical either way.
+
+        Backends hand every shard function a list of its own.  This one
+        empties it as it goes, so a worker frees each unpickled table, and
+        the block copy cached on it, once the table is annotated instead of
+        holding the whole shard's.
+        """
+        context = None if customer_id is None else self.customer(customer_id)
+        pipeline = self.global_model.pipeline if context is None else self._exhaustive_pipeline()
+        predictions = []
+        tables.reverse()
+        while tables:
+            block = tables.pop().to_block()
+            (prediction,) = pipeline.annotate_many([block])
+            if context is not None:
+                prediction = self._blend_with_local(block, prediction, context)
+            predictions.append(prediction)
+        return predictions
 
     def _exhaustive_pipeline(self) -> TypeDetectionPipeline:
         """The global pipeline with the cascade short-circuit disabled."""
@@ -511,7 +504,7 @@ class SigmaTyper:
         included under ``profile_store`` so one call captures the full
         serving-side state of the system.  Likewise, once any multiprocess
         run shipped shards, the process-wide per-transport accounting
-        (``bytes_shipped``, ``shm_bytes``, ``pickle_fallbacks`` — see
+        (``bytes_shipped``, ``pickle_fallbacks``, ``local_fallbacks`` — see
         :mod:`repro.serving.transport`) is included under
         ``shard_transport``.
 

@@ -106,9 +106,9 @@ class Column:
 
         Views arrive one of two ways: attached explicitly by
         :meth:`Table.to_block` / :meth:`from_view`, or duck-typed off the
-        values sequence (``values.kernel_view()`` — the shm transport's
-        ``BlockValues`` provides it, so multiprocess workers profile straight
-        off the received segment).  Resolution runs once per column; a
+        values sequence (``values.kernel_view()`` — the block codec's
+        ``BlockValues`` provides it, so tables received over the tcp
+        transport profile straight off the received buffer).  Resolution runs once per column; a
         ``None`` result is remembered.
         """
         if not colblock.kernels_enabled():
@@ -638,9 +638,9 @@ class Table:
         it must expose ``table_name(i)``, ``table_metadata(i)``, and
         ``table_columns(i)`` — the latter yielding
         ``(name, semantic_type, metadata, values)`` per column, where
-        ``values`` is a lazy sequence over the block's buffer.  The shm shard
-        transport (:class:`repro.serving.transport.ColumnBlock`) is the
-        canonical implementation; workers rebuild their shard's tables this
+        ``values`` is a lazy sequence over the block's buffer.  The tcp wire
+        format's :class:`repro.serving.transport.ColumnBlock` is the
+        canonical implementation; receivers rebuild a shard's tables this
         way without unpickling a single cell.  The returned table is
         read-only in the same sense as the view columns it wraps, and must
         not outlive the block (``block.close()`` invalidates the views).

@@ -7,7 +7,7 @@ re-entrant same-stage nesting (``match`` calling ``match``) sums to the true
 elapsed time exactly once.
 
 The accumulator is process-global and thread-safe (per-thread stage stacks,
-locked totals), so threaded backends attribute correctly.  Multiprocess
+locked totals), so executor threads attribute correctly.  Multiprocess
 workers accumulate in their own process; the parent's snapshot covers the
 parent-side stages only.
 

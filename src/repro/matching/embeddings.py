@@ -232,9 +232,9 @@ class SubwordEmbedder:
         """
         cached = self._phrase_cache.get(text)
         if cached is not None:
-            # Threaded serving shares this cache; a concurrent eviction
-            # between the get and the LRU touch is harmless — the vector in
-            # hand stays valid.
+            # The service's executor threads share this cache; a concurrent
+            # eviction between the get and the LRU touch is harmless — the
+            # vector in hand stays valid.
             try:
                 self._phrase_cache.move_to_end(text)
             except KeyError:

@@ -4,16 +4,14 @@ This package turns the batch-first inference stack into something that can
 serve production traffic:
 
 * :mod:`repro.serving.backends` — an :class:`ExecutionBackend` abstraction
-  (``serial``, ``threaded``, ``multiprocess``) that shards a corpus by table
+  (``serial``, ``multiprocess``) that shards a corpus by table
   and fans bulk annotation (or pretraining featurization) out across workers,
   with results guaranteed identical to the serial path;
 * :mod:`repro.serving.transport` — the multiprocess backend's shard
-  :class:`Transport` seam: the ``pickle`` baseline, or zero-copy
-  shared-memory column blocks (``"multiprocess:4+shm"``) that ship tables
-  out and fixed-width prediction records back without serializing either,
-  with transparent pickle fallback and airtight segment lifecycle;
+  :class:`Transport` seam (``pickle`` by default) and the column-block /
+  prediction-block codecs that are the tcp wire format;
 * :mod:`repro.serving.net` — the multi-node arm of the same seam:
-  :class:`NetTransport` ships the identical block byte layouts over
+  :class:`NetTransport` ships those block byte layouts over
   length-prefixed crc-framed TCP (``"multiprocess:4+tcp://host:port"``)
   with per-connection deadlines, bounded reconnect backoff, and per-shard
   local fallback on any network failure; :class:`BlockWorkerServer` is the
@@ -54,7 +52,7 @@ serve production traffic:
   round-tripping every documented spec string;
 * :mod:`repro.serving.stats` — the unified stats vocabulary:
   :func:`render_stats` composes every ``summary()`` in the layer from the
-  same canonical sections (deprecated aliases in :data:`DEPRECATED_KEYS`).
+  same canonical sections.
 
 The parity contract below has one explicit, opt-in exception: an attached
 :class:`SloController` *degrades* predictions (shallower cascade) while an
@@ -76,7 +74,6 @@ from repro.serving.backends import (
     ExecutionBackend,
     MultiprocessBackend,
     SerialBackend,
-    ThreadedBackend,
     available_workers,
     resolve_backend,
     shard_items,
@@ -104,7 +101,7 @@ from repro.serving.spec import (
     StoreSpec,
     TransportSpec,
 )
-from repro.serving.stats import DEPRECATED_KEYS, render_stats, resolve_key, shared_sections
+from repro.serving.stats import render_stats, shared_sections
 from repro.serving.net import (
     BlockWorkerServer,
     FrameError,
@@ -121,7 +118,6 @@ from repro.serving.transport import (
     ColumnBlockCodec,
     PickleTransport,
     PredictionBlockCodec,
-    ShmTransport,
     Transport,
     TransportStats,
     UnsupportedPayloadError,
@@ -133,14 +129,12 @@ from repro.serving.transport import (
 __all__ = [
     "ExecutionBackend",
     "SerialBackend",
-    "ThreadedBackend",
     "MultiprocessBackend",
     "available_workers",
     "resolve_backend",
     "shard_items",
     "Transport",
     "PickleTransport",
-    "ShmTransport",
     "ColumnBlockCodec",
     "PredictionBlockCodec",
     "resolve_transport",
@@ -180,10 +174,8 @@ __all__ = [
     "StoreSpec",
     "PoolSpec",
     "FrontendSpec",
-    "DEPRECATED_KEYS",
     "render_stats",
     "shared_sections",
-    "resolve_key",
     "ServingError",
     "ConfigurationError",
     "OverloadedError",

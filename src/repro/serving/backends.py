@@ -1,11 +1,11 @@
-"""Execution backends: shard bulk work across threads or processes.
+"""Execution backends: shard bulk work across processes.
 
 Bulk annotation (and pretraining featurization) is embarrassingly parallel at
 the table level: every table is annotated independently, and the per-column
 caches the cascade relies on are either process-local (the shared embedder and
 shape-mask caches, inherited by forked workers) or keyed purely by column
 content (the profile store).  An :class:`ExecutionBackend` exploits that by
-splitting the work items into contiguous, near-equal shards, running the same
+splitting the work items into contiguous shards, running the same
 shard function on each, and reassembling the results in input order — which
 makes every backend's output *identical* to the serial path by construction
 (pinned by ``tests/test_serving.py``).
@@ -14,14 +14,12 @@ The ``multiprocess`` backend prefers the ``fork`` start method: workers
 inherit the (possibly very large) pretrained model through copy-on-write
 memory instead of pickling it, so only the table shards and their predictions
 cross process boundaries.  *How* they cross is the backend's
-:class:`~repro.serving.transport.Transport` seam — the classic pickle
-round-trip, zero-copy shared-memory column blocks
-(``"multiprocess:4+shm"``; see :mod:`repro.serving.transport`), or the same
-block byte layouts framed over TCP to remote annotation peers
-(``"multiprocess:4+tcp://host:port"``; see :mod:`repro.serving.net`).  Without
-``fork`` (Windows, macOS ``spawn``) the shard function itself is pickled to
-the workers, which requires it to be a picklable callable (bound methods of a
-picklable model are fine; closures are not).
+:class:`~repro.serving.transport.Transport` seam — the pickle round-trip
+(default), or the block byte layouts framed over TCP to remote annotation
+peers (``"multiprocess:4+tcp://host:port"``; see :mod:`repro.serving.net`).
+Without ``fork`` (Windows, macOS ``spawn``) the shard function itself is
+pickled to the workers, which requires it to be a picklable callable (bound
+methods of a picklable model are fine; closures are not).
 
 Spec strings, selection guidance, and the parity contract all backends obey
 are documented operator-side in ``docs/SERVING.md`` and design-side in
@@ -31,10 +29,11 @@ are documented operator-side in ``docs/SERVING.md`` and design-side in
 from __future__ import annotations
 
 import itertools
+import math
 import multiprocessing
 import os
 from abc import ABC, abstractmethod
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from repro.core.errors import ConfigurationError, ServingError
@@ -43,9 +42,9 @@ from repro.serving.profile_store import install_fork_handlers
 __all__ = [
     "ExecutionBackend",
     "SerialBackend",
-    "ThreadedBackend",
     "MultiprocessBackend",
     "available_workers",
+    "guided_shards",
     "resolve_backend",
     "shard_items",
 ]
@@ -54,6 +53,7 @@ ItemT = TypeVar("ItemT")
 ResultT = TypeVar("ResultT")
 
 #: ``fn(shard) -> results``, one result per shard item, in shard order.
+#: Every call gets a list of its own, which *fn* may consume.
 ShardFn = Callable[[list], Sequence]
 
 
@@ -89,10 +89,32 @@ def shard_items(items: Iterable[ItemT], num_shards: int) -> list[list[ItemT]]:
     return shards
 
 
+def guided_shards(items: Iterable[ItemT], num_workers: int) -> list[list[ItemT]]:
+    """Split *items* into contiguous shards of shrinking size.
+
+    Each shard takes ``1 / (2 * num_workers)`` of the items not yet sharded
+    (at least one), so the first shards are large and the last ones hold a
+    single item.  Handed to whichever worker is free next, they keep the
+    per-shard overhead low and let all workers finish within about one
+    item's time of each other, however unevenly the items' costs are spread.
+    Concatenating the shards reproduces *items* exactly.
+    """
+    items = list(items)
+    if num_workers < 1:
+        raise ConfigurationError("num_workers must be at least 1")
+    shards: list[list[ItemT]] = []
+    start = 0
+    while start < len(items):
+        size = math.ceil((len(items) - start) / (2 * num_workers))
+        shards.append(items[start : start + size])
+        start += size
+    return shards
+
+
 class ExecutionBackend(ABC):
     """Strategy for executing a shard function over a list of work items."""
 
-    #: Stable identifier ("serial", "threaded", "multiprocess").
+    #: Stable identifier ("serial", "multiprocess").
     name: str = "backend"
     #: Worker count (1 for the serial backend).
     max_workers: int = 1
@@ -121,44 +143,11 @@ class SerialBackend(ExecutionBackend):
     name = "serial"
     max_workers = 1
 
-    def __init__(self, max_workers: int | None = None) -> None:
-        # Accepts (and ignores) a worker count so "serial" is a drop-in
-        # configuration value wherever "threaded:4" style specs are allowed.
-        pass
-
     def map_shards(self, fn: ShardFn, items: Iterable[ItemT]) -> list:
         items = list(items)
         if not items:
             return []
         return list(fn(items))
-
-
-class ThreadedBackend(ExecutionBackend):
-    """Fan shards out over a thread pool.
-
-    Threads share the warm in-process caches (embedder phrases, shape masks,
-    an active profile store) for free.  Python-heavy profiling work is
-    GIL-bound, so the win over serial comes from the numpy-released sections;
-    prefer the multiprocess backend for CPU-saturating bulk jobs.
-    """
-
-    name = "threaded"
-
-    def __init__(self, max_workers: int | None = None) -> None:
-        self.max_workers = int(max_workers) if max_workers is not None else available_workers()
-        if self.max_workers < 1:
-            raise ConfigurationError("max_workers must be at least 1")
-
-    def map_shards(self, fn: ShardFn, items: Iterable[ItemT]) -> list:
-        items = list(items)
-        if not items:
-            return []
-        shards = shard_items(items, self.max_workers)
-        if len(shards) == 1:
-            return list(fn(items))
-        with ThreadPoolExecutor(max_workers=len(shards)) as pool:
-            shard_results = list(pool.map(fn, shards))
-        return [result for shard in shard_results for result in shard]
 
 
 #: Shard functions + transports handed to forked workers by inheritance
@@ -206,7 +195,13 @@ class MultiprocessBackend(ExecutionBackend):
     workers always see the caller's *current* model state (a reused pool
     would keep serving the snapshot from its fork, silently ignoring feedback
     applied since), at the cost of pool spin-up per call.  Suit it to large
-    bulk jobs; for online micro-batches prefer serial or threaded execution.
+    bulk jobs; for online micro-batches prefer serial execution.
+
+    A transport with ``dynamic_shards`` (pickle) gets :func:`guided_shards`,
+    each handed to whichever worker is free next, so tables of uneven cost
+    do not leave one worker idle while another finishes a heavy contiguous
+    half; otherwise (tcp) each worker gets one of :func:`shard_items`'
+    near-equal shards.
 
     Constructing this backend registers the profile-store at-fork handlers
     (:func:`repro.serving.profile_store.install_fork_handlers`), so workers
@@ -236,9 +231,9 @@ class MultiprocessBackend(ExecutionBackend):
             )
         self.start_method = start_method
         #: How shard payloads and results cross the process boundary:
-        #: ``"pickle"`` (default) or ``"shm"`` — see
+        #: ``"pickle"`` (default) or ``"tcp"`` — see
         #: :mod:`repro.serving.transport`.  Spec strings select it inline,
-        #: e.g. ``"multiprocess:4+shm"``.
+        #: e.g. ``"multiprocess:4+tcp://host:port"``.
         self.transport = resolve_transport(transport)
 
     def describe(self) -> dict[str, object]:
@@ -259,51 +254,42 @@ class MultiprocessBackend(ExecutionBackend):
         items = list(items)
         if not items:
             return []
-        shards = shard_items(items, self.max_workers)
-        if len(shards) == 1:
+        transport = self.transport
+        if self.max_workers == 1 or len(items) == 1:
             return list(fn(items))
+        if transport.dynamic_shards:
+            shards = guided_shards(items, self.max_workers)
+        else:
+            shards = shard_items(items, self.max_workers)
+        workers = min(self.max_workers, len(shards))
         method = self._resolved_start_method()
         context = multiprocessing.get_context(method)
-        transport = self.transport
-        payloads: list = []
-        try:
-            # Encoding happens inside the try: if shard N's segment creation
-            # fails (e.g. /dev/shm exhaustion), shards 0..N-1 are released.
-            for shard in shards:
-                payloads.append(transport.encode_shard(shard))
-            if method == "fork":
-                token = next(_FN_TOKENS)
-                _INHERITED_FNS[token] = (fn, transport)
-                try:
-                    with ProcessPoolExecutor(max_workers=len(shards), mp_context=context) as pool:
-                        raw_results = list(
-                            pool.map(_run_inherited_shard, itertools.repeat(token), payloads)
-                        )
-                finally:
-                    _INHERITED_FNS.pop(token, None)
-            else:
-                with ProcessPoolExecutor(
-                    max_workers=len(shards),
-                    mp_context=context,
-                    initializer=_init_pickled_worker,
-                    initargs=(fn, transport),
-                ) as pool:
-                    raw_results = list(pool.map(_run_pickled_shard, payloads))
-            shard_results = [transport.decode_results(raw) for raw in raw_results]
-        finally:
-            # Lifecycle backstop: every shard segment (and any result segment
-            # a crashed worker left behind under its deterministic name) is
-            # reclaimed whether the round-trip succeeded or not.
-            for payload in payloads:
-                transport.release(payload)
+        # Lazily encoded and decoded: workers start on the first shard while
+        # the rest is still being encoded, and each result is decoded while
+        # later shards still run.
+        payloads = (transport.encode_shard(shard) for shard in shards)
+        if method == "fork":
+            token = next(_FN_TOKENS)
+            _INHERITED_FNS[token] = (fn, transport)
+            try:
+                with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
+                    shard_results = [
+                        transport.decode_results(raw)
+                        for raw in pool.map(_run_inherited_shard, itertools.repeat(token), payloads)
+                    ]
+            finally:
+                _INHERITED_FNS.pop(token, None)
+        else:
+            with ProcessPoolExecutor(
+                max_workers=workers,
+                mp_context=context,
+                initializer=_init_pickled_worker,
+                initargs=(fn, transport),
+            ) as pool:
+                shard_results = [
+                    transport.decode_results(raw) for raw in pool.map(_run_pickled_shard, payloads)
+                ]
         return [result for shard in shard_results for result in shard]
-
-
-_BACKENDS: dict[str, type[ExecutionBackend]] = {
-    SerialBackend.name: SerialBackend,
-    ThreadedBackend.name: ThreadedBackend,
-    MultiprocessBackend.name: MultiprocessBackend,
-}
 
 
 def resolve_backend(
@@ -312,16 +298,13 @@ def resolve_backend(
 ) -> ExecutionBackend:
     """Normalise a backend argument into an :class:`ExecutionBackend`.
 
-    Accepts an instance (returned unchanged), a spec string — ``"serial"``,
-    ``"threaded"``, ``"multiprocess"``, optionally with a worker count as in
-    ``"threaded:4"`` and, for the multiprocess backend, a shard transport as
-    in ``"multiprocess:4+shm"`` (``+pickle`` | ``+shm`` | ``+tcp`` |
-    ``+tcp://host:port[,host2:port2]``, see :mod:`repro.serving.transport`
-    and :mod:`repro.serving.net`) — a typed
-    :class:`~repro.serving.spec.BackendSpec` / :class:`~repro.serving.spec.
-    ServingSpec` (resolved through its canonical string, so the two forms
-    can never drift) — or ``None``, which resolves to *default* (falling
-    back to a fresh :class:`SerialBackend`).
+    Accepts an instance (returned unchanged), a spec string — ``"serial"`` or
+    ``"multiprocess"``, optionally with a worker count and a shard transport
+    as in ``"multiprocess:4+tcp://host:port"`` (parsed by
+    :meth:`~repro.serving.spec.BackendSpec.parse`, the one spec grammar) — a
+    typed :class:`~repro.serving.spec.BackendSpec` /
+    :class:`~repro.serving.spec.ServingSpec`, or ``None``, which resolves to
+    *default* (falling back to a fresh :class:`SerialBackend`).
     """
     if backend is None:
         return default if default is not None else SerialBackend()
@@ -331,30 +314,12 @@ def resolve_backend(
 
     if isinstance(backend, ServingSpec):
         backend = backend.backend
-    if isinstance(backend, BackendSpec):
-        backend = str(backend)
     if isinstance(backend, str):
-        base_spec, _, transport_name = backend.partition("+")
-        name, _, workers = base_spec.partition(":")
-        backend_class = _BACKENDS.get(name)
-        if backend_class is None:
-            raise ConfigurationError(
-                f"unknown execution backend {backend!r}; "
-                f"expected one of {sorted(_BACKENDS)} "
-                f"(optionally 'name:workers' / 'multiprocess:workers+transport')"
-            )
-        try:
-            max_workers = int(workers) if workers else None
-        except ValueError as exc:
-            raise ConfigurationError(f"invalid worker count in backend spec {backend!r}") from exc
-        if transport_name:
-            if backend_class is not MultiprocessBackend:
-                raise ConfigurationError(
-                    f"backend spec {backend!r} names a shard transport, but only the "
-                    "multiprocess backend ships shards across a process boundary"
-                )
-            return MultiprocessBackend(max_workers=max_workers, transport=transport_name)
-        return backend_class(max_workers=max_workers)
+        backend = BackendSpec.parse(backend)
+    if isinstance(backend, BackendSpec):
+        if backend.name == MultiprocessBackend.name:
+            return MultiprocessBackend(max_workers=backend.workers, transport=backend.transport)
+        return SerialBackend()
     raise ConfigurationError(
         f"backend must be an ExecutionBackend, a spec string, or None, got {type(backend).__name__}"
     )

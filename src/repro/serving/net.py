@@ -12,10 +12,9 @@ in behind the existing :class:`~repro.serving.transport.Transport` seam:
   strings select it like any other transport: ``"multiprocess:4+tcp"``
   (peers from ``$REPRO_NET_PEERS``) or
   ``"multiprocess:4+tcp://host:port,host2:port2"``.
-* :class:`BlockWorkerServer` is the peer: it receives a segment into an
-  anonymous ``mmap`` and runs the columnar kernels over the received buffer
-  exactly as multiprocess workers run them over a local shm segment —
-  :meth:`Table.from_block` attaches the same zero-copy views either way.
+* :class:`BlockWorkerServer` is the peer: it receives a shard into an
+  anonymous ``mmap`` and runs the columnar kernels over the received buffer —
+  :meth:`Table.from_block` attaches zero-copy views over it.
 
 Robustness is first-class, not best-effort:
 
@@ -30,10 +29,10 @@ Robustness is first-class, not best-effort:
   over the same decoded block (``stats.local_fallbacks``, with the reason in
   ``last_fallback_reason``).  Results are bit-identical either way, so a
   chaos run and a clean run produce the same predictions;
-* lifecycle is airtight: the transport owns no named segments (payload bytes
-  travel inside the frame; the server's receive buffer is an anonymous mmap
-  freed on close), so a killed peer cannot leak a segment, and one
-  connection serves exactly one shard, so there is no pooled socket to wedge.
+* lifecycle is airtight: payload bytes travel inside the frame and the
+  server's receive buffer is an anonymous mmap freed on close, so a killed
+  peer cannot leak anything, and one connection serves exactly one shard, so
+  there is no pooled socket to wedge.
 
 Frame layout (network byte order)::
 
@@ -262,27 +261,9 @@ def write_frame(sock: socket.socket, msg_type: int, payload) -> int:
     return len(header) + len(payload)
 
 
-def _parse_peers(spec: str) -> list:
-    peers = []
-    for part in spec.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        host, sep, port = part.rpartition(":")
-        if not sep or not host:
-            raise ConfigurationError(f"peer {part!r} is not host:port")
-        try:
-            peers.append((host, int(port)))
-        except ValueError as exc:
-            raise ConfigurationError(f"peer {part!r} has a non-numeric port") from exc
-    if not peers:
-        raise ConfigurationError("no peers in tcp transport spec")
-    return peers
-
-
 # ------------------------------------------------------------------- transport
 class NetTransport(Transport):
-    """Socket-backed segment shipping behind the :class:`Transport` seam.
+    """Socket-backed shard shipping behind the :class:`Transport` seam.
 
     ``encode_shard`` produces either a ``("net", uid, blob, peer)`` payload —
     the ColumnBlockCodec bytes plus the round-robin-assigned peer — or the
@@ -302,28 +283,32 @@ class NetTransport(Transport):
         if not self.peers:
             raise ConfigurationError("NetTransport needs at least one peer")
         self.config = config if config is not None else NetConfig()
-        # repro-lint: disable=RL004 uid prefix only names wire messages/segments; never reaches results
+        # repro-lint: disable=RL004 uid prefix only names wire messages; never reaches results
         self._uid_prefix = f"{os.getpid()}-{os.urandom(3).hex()}"
         self._uid_counter = itertools.count()
         self._peer_counter = itertools.count()
 
     @classmethod
-    def from_spec(cls, spec: str, config: NetConfig | None = None) -> "NetTransport":
-        """Build from ``"tcp"`` (peers from ``$REPRO_NET_PEERS``) or
-        ``"tcp://host:port[,host2:port2]"``."""
-        if config is None:
-            config = NetConfig.from_env()
-        if spec == "tcp":
+    def from_spec(cls, spec, config: NetConfig | None = None) -> "NetTransport":
+        """Build from ``"tcp"`` (peers from ``$REPRO_NET_PEERS``),
+        ``"tcp://host:port[,host2:port2]"``, or the equivalent
+        :class:`~repro.serving.spec.TransportSpec`."""
+        from repro.serving.spec import TransportSpec, _parse_peers
+
+        if isinstance(spec, str):
+            spec = TransportSpec.parse(spec)
+        if spec.name != cls.name:
+            raise ConfigurationError(f"not a tcp transport spec: {str(spec)!r}")
+        peers = spec.peers
+        if not peers:
             raw = os.environ.get("REPRO_NET_PEERS", "")
             if not raw.strip():
                 raise ConfigurationError(
                     "transport 'tcp' needs peers: set REPRO_NET_PEERS=host:port[,host:port] "
                     "or use an explicit tcp://host:port spec"
                 )
-            return cls(_parse_peers(raw), config)
-        if spec.startswith("tcp://"):
-            return cls(_parse_peers(spec[len("tcp://"):]), config)
-        raise ConfigurationError(f"not a tcp transport spec: {spec!r}")
+            peers = _parse_peers(raw, "REPRO_NET_PEERS")
+        return cls(peers, config if config is not None else NetConfig.from_env())
 
     # ------------------------------------------------------------- parent side
     def _next_uid(self) -> str:
@@ -383,11 +368,6 @@ class NetTransport(Transport):
         if kind != "pickle":  # pragma: no cover - worker/parent version skew
             raise ServingError(f"unknown result payload kind {kind!r}")
         return pickle.loads(data)
-
-    def release(self, payload: tuple) -> None:
-        # Payload bytes live inside the tuple; nothing named to unlink, which
-        # is exactly why a killed peer cannot leak a segment.
-        pass
 
     # ------------------------------------------------------------- worker side
     def open_shard(self, payload: tuple):
@@ -477,13 +457,14 @@ class BlockWorkerServer:
 
     Each received shard lands in an **anonymous mmap** and is decoded in
     place — :meth:`Table.from_block` attaches the columnar-kernel views over
-    the received buffer exactly as multiprocess workers attach them over a
-    local shm segment, so the remote cascade is the same code on the same
-    bytes.  A shard-function error is reported as ``MSG_ERROR`` (the server
-    survives); a torn or corrupt frame closes only that connection.
+    the received buffer, so the remote cascade runs the kernels on the same
+    bytes the client encoded.  A shard-function error is reported as
+    ``MSG_ERROR`` (the server survives); a torn or corrupt frame closes only
+    that connection.
 
-    Thread-per-connection; :meth:`stop` closes the listener and every live
-    connection, so no reader thread can outlive the server.
+    Thread-per-connection for socket I/O, one shard function at a time;
+    :meth:`stop` closes the listener and every live connection, so no reader
+    thread can outlive the server.
     """
 
     def __init__(self, shard_fn, host: str = "127.0.0.1", port: int = 0,
@@ -496,6 +477,11 @@ class BlockWorkerServer:
         self._threads: list = []
         self._conns: set = set()
         self._lock = threading.Lock()
+        #: Serializes shard functions: the cascade is CPU-bound Python, so
+        #: concurrent shards only contend for the GIL.  With 4 concurrent
+        #: loopback shards on 2 CPUs, running them one at a time cut the
+        #: slowest reply from ~1.8 s to ~1.0 s.  Socket I/O stays concurrent.
+        self._shard_lock = threading.Lock()
         self._running = False
         self.stats = {
             "connections": 0,
@@ -508,9 +494,9 @@ class BlockWorkerServer:
 
     @classmethod
     def for_typer(cls, typer, **kwargs) -> "BlockWorkerServer":
-        """Serve a :class:`SigmaTyper`'s global cascade — the same bound
-        ``annotate_many`` that ``annotate_corpus`` dispatches to local
-        workers, so remote results are bit-identical by construction."""
+        """Serve a :class:`SigmaTyper`'s global cascade.  Received tables are
+        already block-backed, so the remote cascade runs the same kernels as
+        ``annotate_corpus``'s local shards and results are bit-identical."""
         return cls(typer.global_model.pipeline.annotate_many, **kwargs)
 
     # -------------------------------------------------------------- lifecycle
@@ -650,15 +636,16 @@ class BlockWorkerServer:
             conn.close()
 
     def _run_shard(self, payload: bytes):
-        # Anonymous mmap: same buffer discipline as a shm segment (the
-        # kernels view it in place), nothing named, freed on close.
+        # Anonymous mmap: the kernels view it in place, nothing named, freed
+        # on close.
         buf = mmap.mmap(-1, max(len(payload), 1))
         try:
             buf[: len(payload)] = payload
             block = ColumnBlockCodec.decode(memoryview(buf)[: len(payload)])
             try:
                 tables = [Table.from_block(block, index) for index in range(block.num_tables)]
-                results = list(self.shard_fn(tables))
+                with self._shard_lock:
+                    results = list(self.shard_fn(tables))
                 # Encode before closing the block: results may alias the
                 # view-backed tables (same contract as Transport.run_in_worker).
                 try:

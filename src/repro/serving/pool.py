@@ -956,10 +956,9 @@ class AnnotationPool:
         self.stats.per_worker = snapshot
 
     def summary(self) -> dict[str, object]:
-        """Pool-level report in the unified :func:`render_stats` shape.
-
-        ``pool`` is the canonical section; ``stats`` aliases it for one
-        release (see docs/SERVING.md#stats-vocabulary).
+        """Pool-level report in the unified :func:`render_stats` shape, with
+        this component's own counters under ``pool``
+        (see docs/SERVING.md#stats-vocabulary).
         """
         from repro.serving.stats import render_stats
 
@@ -972,5 +971,4 @@ class AnnotationPool:
             "directory": str(self._directory) if self._directory is not None else None,
         }
         report.update(render_stats(pool=self))
-        report["stats"] = report["pool"]
         return report

@@ -64,11 +64,9 @@ from repro.core.errors import (
     ServingError,
     ShutdownError,
 )
-from repro.core import colblock
 from repro.core.prediction import TablePrediction
-from repro.core.table import Table, get_active_profile_store
+from repro.core.table import Table
 from repro.serving.slo import SloConfig, SloController
-from repro.serving.transport import transport_stats
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations only
     from repro.core.sigmatyper import SigmaTyper
@@ -209,11 +207,8 @@ class ServiceStats:
     adaptive controller feeds on (per-batch wall-clock seconds) and — when
     adaptive batching is enabled — the latest per-customer controller
     decisions under ``controllers`` (window, size cap, increase/decrease
-    counts, observed arrival rate).  When the active profile store is a
-    :class:`~repro.serving.profile_store.PersistentProfileStore` with live
-    cross-process sharing, ``store_shared_hits`` mirrors its ``shared_hits``
-    counter — lookups this process served from a *sibling process's* freshly
-    flushed segment records.
+    counts, observed arrival rate).  Store, kernel and transport counters
+    live in their own :func:`~repro.serving.stats.render_stats` sections.
     """
 
     requests_total: int = 0
@@ -244,24 +239,6 @@ class ServiceStats:
     queue_seconds_total: float = 0.0
     #: Latest per-customer AIMD controller snapshots (empty when fixed).
     controllers: dict[str, dict] = field(default_factory=dict)
-    #: Lookups served from a sibling process's segments (live cross-process
-    #: store sharing); mirrors the active store's ``shared_hits`` counter.
-    store_shared_hits: int = 0
-    #: Columnar-kernel operations served vectorized in this process; mirrors
-    #: :func:`repro.core.colblock.kernel_stats` (``kernel_hits``).
-    kernel_hits: int = 0
-    #: Columnar-kernel operations that fell back to the per-value Python
-    #: path (bigint/mixed/non-ASCII cells, or kernels disabled mid-run).
-    kernel_fallbacks: int = 0
-    #: Shards whose cascade ran on a remote peer (net transport); mirrors the
-    #: process-wide :func:`repro.serving.transport.transport_stats`.
-    transport_remote_shards: int = 0
-    #: Shards that degraded off their preferred transport path — pickle
-    #: fallbacks (shm/tcp encode leg) plus the net transport's local reruns
-    #: after a network failure.
-    transport_fallbacks: int = 0
-    #: Human-readable reason of the most recent transport fallback.
-    transport_fallback_reason: str = ""
 
     @property
     def mean_batch_size(self) -> float:
@@ -307,12 +284,6 @@ class ServiceStats:
             "queue_seconds_total": round(self.queue_seconds_total, 4),
             "mean_queue_seconds": round(self.mean_queue_seconds, 4),
             "controllers": {name: dict(state) for name, state in self.controllers.items()},
-            "store_shared_hits": self.store_shared_hits,
-            "kernel_hits": self.kernel_hits,
-            "kernel_fallbacks": self.kernel_fallbacks,
-            "transport_remote_shards": self.transport_remote_shards,
-            "transport_fallbacks": self.transport_fallbacks,
-            "transport_fallback_reason": self.transport_fallback_reason,
         }
 
 
@@ -672,26 +643,6 @@ class AnnotationService:
                 self.stats.batch_seconds_total += elapsed
                 if degraded:
                     self.stats.degraded_batches += 1
-                store = get_active_profile_store()
-                if store is not None:
-                    self.stats.store_shared_hits = int(getattr(store, "shared_hits", 0))
-                kernel_counters = colblock.kernel_stats()
-                self.stats.kernel_hits = int(kernel_counters["kernel_hits"])
-                self.stats.kernel_fallbacks = int(kernel_counters["kernel_fallbacks"])
-                shard_transport = transport_stats()
-                if shard_transport:
-                    remote = fallbacks = 0
-                    reason = ""
-                    for bucket in shard_transport.values():
-                        remote += bucket.get("remote_shards", 0)
-                        fallbacks += (
-                            bucket.get("pickle_fallbacks", 0)
-                            + bucket.get("local_fallbacks", 0)
-                        )
-                        reason = bucket.get("last_fallback_reason", "") or reason
-                    self.stats.transport_remote_shards = remote
-                    self.stats.transport_fallbacks = fallbacks
-                    self.stats.transport_fallback_reason = reason
                 if self.adaptive is not None:
                     controller = self._controller(customer_id)
                     controller.observe(len(batch), elapsed)
@@ -713,9 +664,8 @@ class AnnotationService:
 
         When a shared profile store is active its full counters — including
         the cross-process ``shared_hits`` of a persistent store with live
-        sharing — are included under ``profile_store``.  ``service`` is the
-        canonical section for this component's own counters; ``stats``
-        aliases it for one release (docs/SERVING.md#stats-vocabulary).
+        sharing — are included under ``profile_store``.  ``service`` holds
+        this component's own counters (docs/SERVING.md#stats-vocabulary).
         """
         from repro.serving.stats import render_stats
 
@@ -727,5 +677,4 @@ class AnnotationService:
             "backend": getattr(self.backend, "name", self.backend) or "serial",
         }
         report.update(render_stats(service=self))
-        report["stats"] = report["service"]
         return report

@@ -1,6 +1,6 @@
 """Typed serving configuration: frozen spec dataclasses over the spec strings.
 
-The serving layer grew up on **spec strings** — ``"multiprocess:8+shm"``,
+The serving layer grew up on **spec strings** — ``"multiprocess:8"``,
 ``"tcp://worker-a:7071"`` — because they travel well (CLI flags, env vars,
 benchmark JSON).  They stay first-class.  What this module adds is the typed
 form underneath: a small family of frozen dataclasses that parse from and
@@ -14,11 +14,12 @@ docs/SERVING.md round-trips)::
 
     serving   := [ "pool:" N "@" ] backend | "pool:" N
     backend   := name [ ":" workers ] [ "+" transport ]
-    name      := "serial" | "threaded" | "multiprocess"
-    transport := "pickle" | "shm" | "tcp" [ "://" host ":" port { "," host ":" port } ]
+    name      := "serial" | "multiprocess"
+    transport := "pickle" | "tcp" [ "://" host ":" port { "," host ":" port } ]
 
-Every ``resolve_*`` entry point and serving constructor accepts either form:
-:func:`repro.serving.backends.resolve_backend` takes a
+This module is the one parser of that grammar: every ``resolve_*`` entry
+point and serving constructor accepts either form, and parses strings through
+it — :func:`repro.serving.backends.resolve_backend` takes a
 :class:`BackendSpec` (or :class:`ServingSpec`),
 :func:`repro.serving.transport.resolve_transport` a :class:`TransportSpec`,
 :class:`~repro.serving.frontend.AnnotationFrontend` a :class:`FrontendSpec`,
@@ -48,8 +49,13 @@ __all__ = [
     "ServingSpec",
 ]
 
-_BACKEND_NAMES = ("serial", "threaded", "multiprocess")
-_TRANSPORT_NAMES = ("pickle", "shm", "tcp")
+_BACKEND_NAMES = ("serial", "multiprocess")
+_TRANSPORT_NAMES = ("pickle", "tcp")
+#: Spec values that no longer exist → what to write instead.
+_REMOVED = {
+    "threaded": "the 'threaded' backend was removed; use 'serial' or 'multiprocess[:N]'",
+    "shm": "the 'shm' transport was removed; use 'multiprocess[:N]' (pickle)",
+}
 
 
 def _parse_peers(text: str, spec: str) -> tuple[tuple[str, int], ...]:
@@ -72,7 +78,7 @@ def _parse_peers(text: str, spec: str) -> tuple[tuple[str, int], ...]:
 
 @dataclass(frozen=True)
 class TransportSpec:
-    """A shard transport: ``pickle`` | ``shm`` | ``tcp[://host:port,...]``."""
+    """A shard transport: ``pickle`` | ``tcp[://host:port,...]``."""
 
     name: str = "pickle"
     #: ``(host, port)`` worker peers; only meaningful for the ``tcp``
@@ -80,6 +86,8 @@ class TransportSpec:
     peers: tuple[tuple[str, int], ...] = ()
 
     def __post_init__(self) -> None:
+        if self.name in _REMOVED:
+            raise ConfigurationError(_REMOVED[self.name])
         if self.name not in _TRANSPORT_NAMES:
             raise ConfigurationError(
                 f"unknown transport {self.name!r}; expected one of {list(_TRANSPORT_NAMES)}"
@@ -104,7 +112,7 @@ class TransportSpec:
         """Build the :class:`~repro.serving.transport.Transport` this names."""
         from repro.serving.transport import resolve_transport
 
-        return resolve_transport(str(self))
+        return resolve_transport(self)
 
 
 @dataclass(frozen=True)
@@ -116,6 +124,8 @@ class BackendSpec:
     transport: TransportSpec | None = None
 
     def __post_init__(self) -> None:
+        if self.name in _REMOVED:
+            raise ConfigurationError(_REMOVED[self.name])
         if self.name not in _BACKEND_NAMES:
             raise ConfigurationError(
                 f"unknown execution backend {self.name!r}; "
@@ -152,7 +162,7 @@ class BackendSpec:
         """Build the :class:`~repro.serving.backends.ExecutionBackend`."""
         from repro.serving.backends import resolve_backend
 
-        return resolve_backend(str(self))
+        return resolve_backend(self)
 
 
 @dataclass(frozen=True)
@@ -301,8 +311,8 @@ class FrontendSpec:
 class ServingSpec:
     """The composite: backend + optional pool/store/frontend sections.
 
-    :meth:`parse` accepts every backend spec string the serving layer ever
-    documented, plus the pool forms (``pool:4``, ``pool:4@multiprocess:2+shm``),
+    :meth:`parse` accepts every documented backend spec string, plus the
+    pool forms (``pool:4``, ``pool:4@multiprocess:2+tcp``),
     and ``str()`` reproduces the input exactly — the round-trip contract the
     PR 10 acceptance gate pins.
     """

@@ -1,44 +1,25 @@
-"""Zero-copy shard transport for the multiprocess execution backend.
+"""Shard transports for the multiprocess execution backend.
 
 The ``multiprocess`` backend ships every shard — whole :class:`Table` objects
-on the way out, whole :class:`TablePrediction` lists on the way back — through
-``pickle``.  For small corpora that serialization dominates the run: the
-workers spend more time unpickling tables than annotating them.  This module
-replaces the pickle round-trip with POSIX shared memory:
+on the way out, whole :class:`TablePrediction` lists on the way back — across
+a process boundary through a :class:`Transport`:
 
-* :class:`ColumnBlockCodec` flattens a shard's tables into one contiguous
-  block of typed buffers — per-column value bytes plus ``u64`` offsets, a
-  per-value tag array, framed headers, and table/column boundary records —
-  written once into a ``multiprocessing.shared_memory`` segment.  Workers
-  attach the segment and rebuild the tables through the zero-copy
-  :meth:`repro.core.table.Table.from_block` view path: no pickling, no
-  per-value copies until a value is actually read.
-* :class:`PredictionBlockCodec` returns predictions as fixed-width records
-  (string-table references + ``f64`` confidences) in a worker-created
-  segment, so the result leg avoids pickle as well.
-* :class:`Transport` is the seam the backend calls through.
-  :class:`PickleTransport` is the explicit baseline (and the accounting
-  reference for ``bytes_shipped``); :class:`ShmTransport` is the
-  shared-memory path with graceful **pickle fallback** for shards that are
-  not lists of tables, contain non-scalar cell values, or exceed
-  ``max_segment_bytes``.
+* :class:`PickleTransport` (the default) pickles the shard and its results;
+  its ``bytes_shipped`` is an exact measurement of that serialization.
+* :class:`~repro.serving.net.NetTransport` (``"multiprocess:4+tcp://..."``)
+  ships shards to remote peers in the block wire format defined here.
 
-Spec strings select a transport per backend: ``"multiprocess:4+shm"`` /
+The wire format is two codecs.  :class:`ColumnBlockCodec` flattens a shard's
+tables into one contiguous block of typed buffers — per-column value bytes
+plus ``u64`` offsets, a per-value tag array, framed headers, and table/column
+boundary records; receivers rebuild the tables through the zero-copy
+:meth:`repro.core.table.Table.from_block` view path, whose columns carry
+columnar-kernel views straight off the received buffer.
+:class:`PredictionBlockCodec` returns predictions as fixed-width records
+(string-table references + ``f64`` confidences).
+
+Spec strings select a transport per backend: ``"multiprocess:4+tcp"`` /
 ``"multiprocess+pickle"`` (see :func:`repro.serving.backends.resolve_backend`).
-
-Lifecycle contract — **no leaked ``/dev/shm`` segments, ever**:
-
-* shard segments are created by the parent and unlinked by the parent in a
-  ``finally`` block after the pool round-trip, success or not;
-* result segments are created by workers under a *deterministic* name derived
-  from the shard id, so the parent can unlink them even when the worker
-  crashed mid-shard and never reported the segment back;
-* workers close their attachments before returning, and every unlink
-  tolerates already-removed segments.
-
-The E13 benchmark (``benchmarks/test_bench_shard_transport.py``) pins the
-bytes accounting, parity, and the no-leak property; the CI transport smoke
-job additionally scans ``/dev/shm`` after the run.
 """
 
 from __future__ import annotations
@@ -52,7 +33,6 @@ import weakref
 from abc import ABC, abstractmethod
 from collections.abc import Sequence
 from dataclasses import dataclass
-from multiprocessing import shared_memory
 from typing import Callable
 
 # Scalar/text cell tags are canonical in repro.core.colblock — the columnar
@@ -75,7 +55,6 @@ from repro.core.table import Table
 __all__ = [
     "Transport",
     "PickleTransport",
-    "ShmTransport",
     "TransportStats",
     "ColumnBlockCodec",
     "ColumnBlock",
@@ -84,16 +63,9 @@ __all__ = [
     "resolve_transport",
     "transport_stats",
     "reset_transport_stats",
-    "SHARD_SEGMENT_PREFIX",
-    "RESULT_SEGMENT_PREFIX",
 ]
 
 _PICKLE_PROTOCOL = pickle.HIGHEST_PROTOCOL
-
-#: Shared-memory segment name prefixes.  Deterministic and greppable: the CI
-#: transport smoke job fails when any name with these prefixes survives a run.
-SHARD_SEGMENT_PREFIX = "sigshard-"
-RESULT_SEGMENT_PREFIX = "sigres-"
 
 
 class UnsupportedPayloadError(ServingError):
@@ -284,10 +256,10 @@ class _Reader:
 class BlockValues(Sequence):
     """Lazy, immutable view of one column's values inside a column block.
 
-    Decodes values out of the shared buffer on access (and memoizes the full
+    Decodes values out of the block buffer on access (and memoizes the full
     list on first iteration, so repeated scans pay decode once).  The view
     raises :class:`ServingError` after :meth:`ColumnBlock.close` — a column
-    must never outlive the segment backing it.
+    must never outlive the buffer backing it.
     """
 
     __slots__ = (
@@ -315,11 +287,11 @@ class BlockValues(Sequence):
     def kernel_view(self):
         """Columnar kernel view (``repro.core.colblock.ColumnView``) of this column.
 
-        The duck-typed hook ``Column._kernel_view`` picks up: multiprocess
-        workers rebuilding a shard via ``Table.from_block`` profile straight
-        off the received segment.  The view *copies* the three buffers out of
-        the block (tags, offsets, blob), so it stays valid — and keeps no
-        export on the segment — after ``ColumnBlock.close``.
+        The duck-typed hook ``Column._kernel_view`` picks up: receivers
+        rebuilding a shard via ``Table.from_block`` profile straight off the
+        received buffer.  The view *copies* the three buffers out of the
+        block (tags, offsets, blob), so it stays valid — and keeps no export
+        on the buffer — after ``ColumnBlock.close``.
         """
         if self._kview is None:
             self._kview = view_from_block_buffers(
@@ -379,7 +351,7 @@ class BlockValues(Sequence):
 
     def __reduce__(self):
         # A view must never cross a process boundary still pointing at a
-        # segment: pickling materializes it into a plain list (raising
+        # buffer: pickling materializes it into a plain list (raising
         # loudly, not silently, if the block was already closed).
         return (list, (self._materialize(),))
 
@@ -426,7 +398,7 @@ class ColumnBlock:
     def buffer(self):
         """The backing buffer; raises once the block was closed."""
         if self._closed:
-            raise ServingError("column block used after close (segment detached)")
+            raise ServingError("column block used after close (buffer detached)")
         return self._buf
 
     def table_name(self, index: int) -> str:
@@ -696,26 +668,22 @@ class PredictionBlockCodec:
 class TransportStats:
     """Parent-side accounting for one transport instance.
 
-    ``bytes_shipped`` counts the pickled bytes that actually crossed a
-    process boundary (the shard payloads out plus the result payloads back) —
-    for the shm transport that is just the tiny descriptors.  ``shm_bytes``
-    counts the shared-memory bytes written instead; ``pickle_fallbacks`` /
-    ``result_pickle_fallbacks`` count the outbound shards and inbound result
-    legs the shm transport had to pickle after all (the two legs fall back
-    independently), with the last reason kept for operators.
+    ``bytes_shipped`` counts the bytes that actually crossed a process
+    boundary (the shard payloads out plus the result payloads back);
+    ``pickle_fallbacks`` / ``result_pickle_fallbacks`` count the outbound
+    shards and inbound result legs the tcp transport had to pickle after all
+    (the two legs fall back independently), with the last reason kept for
+    operators.
     """
 
     shards: int = 0
     bytes_shipped: int = 0
-    shm_bytes: int = 0
     #: Outbound shards that had to be pickled after all.
     pickle_fallbacks: int = 0
     #: Result legs that came back pickled (oversized or non-prediction
     #: results) while the shard itself may still have ridden shared memory.
     result_pickle_fallbacks: int = 0
     last_fallback_reason: str = ""
-    segments_created: int = 0
-    segments_unlinked: int = 0
     #: Shards whose cascade actually ran on a remote peer (net transport).
     remote_shards: int = 0
     #: Shards that were meant for a peer but ran locally after a network
@@ -732,12 +700,9 @@ class TransportStats:
         return {
             "shards": self.shards,
             "bytes_shipped": self.bytes_shipped,
-            "shm_bytes": self.shm_bytes,
             "pickle_fallbacks": self.pickle_fallbacks,
             "result_pickle_fallbacks": self.result_pickle_fallbacks,
             "last_fallback_reason": self.last_fallback_reason,
-            "segments_created": self.segments_created,
-            "segments_unlinked": self.segments_unlinked,
             "remote_shards": self.remote_shards,
             "local_fallbacks": self.local_fallbacks,
             "net_bytes_out": self.net_bytes_out,
@@ -837,33 +802,20 @@ def reset_transport_stats() -> None:
             _LIVE_STATS[uid] = (name, stats, stats.as_dict())
 
 
-def _unlink_segment_name(name: str) -> bool:
-    """Best-effort unlink of a segment by name; True when one was removed."""
-    try:
-        segment = shared_memory.SharedMemory(name=name)
-    except FileNotFoundError:
-        return False
-    try:
-        segment.close()
-    finally:
-        try:
-            segment.unlink()
-        except FileNotFoundError:  # pragma: no cover - raced with another cleaner
-            return False
-    return True
-
-
 class Transport(ABC):
     """How shard payloads and results cross the process boundary.
 
     The backend calls :meth:`encode_shard` for every shard before submitting,
-    ships the (small, picklable) payload to the worker, where
-    :meth:`run_in_worker` decodes, runs the shard function, and encodes the
-    results; the parent then calls :meth:`decode_results` on what came back
-    and :meth:`release` on every payload in a ``finally`` block.
+    ships the picklable payload to the worker, where :meth:`run_in_worker`
+    decodes, runs the shard function, and encodes the results; the parent
+    then calls :meth:`decode_results` on what came back.
     """
 
     name: str = "transport"
+    #: Whether a :class:`~repro.serving.backends.MultiprocessBackend` may
+    #: cut many shards and hand each to the next free worker (``False``:
+    #: one shard per worker).
+    dynamic_shards: bool = False
 
     def __init__(self) -> None:
         self.stats = TransportStats()
@@ -882,11 +834,6 @@ class Transport(ABC):
     def decode_results(self, payload: tuple) -> list:
         """Turn a worker's result payload back into per-item results."""
 
-    @abstractmethod
-    def release(self, payload: tuple) -> None:
-        """Free every resource behind *payload* (idempotent, never raises
-        for already-freed segments); called in a ``finally`` block."""
-
     # ------------------------------------------------------------- worker side
     @abstractmethod
     def open_shard(self, payload: tuple):
@@ -897,15 +844,15 @@ class Transport(ABC):
         """Encode *results* for the trip back to the parent, worker side."""
 
     def run_in_worker(self, fn: Callable, payload: tuple) -> tuple:
-        """Decode → run → encode, with the attachment closed on every path.
+        """Decode → run → encode, with the decoded block closed on every path.
 
-        Results are encoded *before* the shard attachment is closed: a shard
-        function may legitimately return objects that alias the view-backed
-        input tables (the identity function, extracted columns, ...), and
-        those lazy views must still be readable while the fallback pickles
-        them (:meth:`BlockValues.__reduce__` materializes a view into a plain
-        list at pickling time, so nothing escaping the worker ever references
-        the segment).
+        Results are encoded *before* the block is closed: a shard function
+        may legitimately return objects that alias the view-backed input
+        tables (the identity function, extracted columns, ...), and those
+        lazy views must still be readable while the fallback pickles them
+        (:meth:`BlockValues.__reduce__` materializes a view into a plain list
+        at pickling time, so nothing escaping the worker ever references the
+        block).
         """
         items, cleanup = self.open_shard(payload)
         try:
@@ -961,6 +908,10 @@ class PickleTransport(Transport):
     """
 
     name = "pickle"
+    #: A pickled shard costs one ``dumps``/``loads`` and no connection, so
+    #: the backend cuts many and lets the pool balance tables of uneven cost
+    #: across the workers.
+    dynamic_shards = True
 
     def encode_shard(self, items: list) -> tuple:
         payload = ("pickle", None, pickle.dumps(items, _PICKLE_PROTOCOL))
@@ -981,192 +932,16 @@ class PickleTransport(Transport):
         _, data = payload
         return pickle.loads(data)
 
-    def release(self, payload: tuple) -> None:
-        pass
-
-
-class ShmTransport(Transport):
-    """Shard transport over ``multiprocessing.shared_memory``.
-
-    Tables go out as one :class:`ColumnBlockCodec` segment per shard and come
-    back as one :class:`PredictionBlockCodec` segment per shard; only the
-    descriptors (name + length) are pickled.  Shards that are not lists of
-    tables, contain unsupported values, or whose encoding exceeds
-    ``max_segment_bytes`` fall back to pickle transparently — fallback is an
-    accounting event (``pickle_fallbacks``), never an error.
-    """
-
-    name = "shm"
-
-    #: Default per-segment ceiling; one shard of typical enterprise tables is
-    #: a few MB, so 256 MB only ever trips on pathological inputs.
-    DEFAULT_MAX_SEGMENT_BYTES = 256 << 20
-
-    def __init__(self, max_segment_bytes: int | None = None) -> None:
-        super().__init__()
-        self.max_segment_bytes = (
-            int(max_segment_bytes) if max_segment_bytes is not None else self.DEFAULT_MAX_SEGMENT_BYTES
-        )
-        if self.max_segment_bytes < 1:
-            raise ConfigurationError("max_segment_bytes must be positive")
-        #: Open shard segments owned by this (parent) process, keyed by uid.
-        self._segments: dict = {}
-        # repro-lint: disable=RL004 uid prefix only names /dev/shm segments; never reaches results
-        self._uid_prefix = f"{os.getpid()}-{os.urandom(3).hex()}"
-        self._uid_counter = itertools.count()
-
-    def __getstate__(self) -> dict:
-        state = super().__getstate__()
-        state.pop("_segments", None)  # open segment handles stay parent-side
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        super().__setstate__(state)
-        self._segments = {}
-
-    # ------------------------------------------------------------- parent side
-    def _next_uid(self) -> str:
-        with self._lock:
-            return f"{self._uid_prefix}-{next(self._uid_counter)}"
-
-    def _fallback(self, reason: str) -> None:
-        with self._lock:
-            self.stats.pickle_fallbacks += 1
-            self.stats.last_fallback_reason = reason
-
-    def encode_shard(self, items: list) -> tuple:
-        uid = self._next_uid()
-        with self._lock:
-            self.stats.shards += 1
-        blob = None
-        reason = ""
-        if all(isinstance(item, Table) for item in items):
-            try:
-                blob = ColumnBlockCodec.encode_tables(items)
-            except UnsupportedPayloadError as exc:
-                reason = str(exc)
-        else:
-            reason = "shard items are not tables"
-        if blob is not None and len(blob) > self.max_segment_bytes:
-            reason = f"encoded shard ({len(blob)} bytes) exceeds max_segment_bytes"
-            blob = None
-        if blob is None:
-            self._fallback(reason)
-            payload = ("pickle", uid, pickle.dumps(items, _PICKLE_PROTOCOL))
-        else:
-            segment = shared_memory.SharedMemory(
-                create=True, name=f"{SHARD_SEGMENT_PREFIX}{uid}", size=max(len(blob), 1)
-            )
-            segment.buf[: len(blob)] = blob
-            with self._lock:
-                self._segments[uid] = segment
-                self.stats.shm_bytes += len(blob)
-                self.stats.segments_created += 1
-            payload = ("shm", uid, segment.name, len(blob))
-        self._count_shipped(payload)
-        return payload
-
-    def decode_results(self, payload: tuple) -> list:
-        self._count_shipped(payload)
-        kind = payload[0]
-        if kind == "pickle":
-            # The worker always attempts the record codec, so a pickled
-            # result payload means the result leg itself fell back (oversized
-            # or non-prediction results; the exact reason stays worker-side —
-            # last_fallback_reason is the shard leg's).
-            with self._lock:
-                self.stats.result_pickle_fallbacks += 1
-            return pickle.loads(payload[1])
-        if kind != "shm":  # pragma: no cover - worker/parent version skew
-            raise ServingError(f"unknown result payload kind {kind!r}")
-        _, name, length = payload
-        segment = shared_memory.SharedMemory(name=name)
-        try:
-            predictions = PredictionBlockCodec.decode_predictions(segment.buf[:length])
-        finally:
-            segment.close()
-            try:
-                segment.unlink()
-            except FileNotFoundError:  # pragma: no cover - raced with release
-                pass
-            with self._lock:
-                # The worker created this segment, but its counters died with
-                # the fork — account for the segment where it is observed, so
-                # created/unlinked balance parent-side.
-                self.stats.segments_created += 1
-                self.stats.segments_unlinked += 1
-        return predictions
-
-    def release(self, payload: tuple) -> None:
-        uid = payload[1]
-        with self._lock:
-            segment = self._segments.pop(uid, None)
-        if segment is not None:
-            segment.close()
-            try:
-                segment.unlink()
-            except FileNotFoundError:  # pragma: no cover - raced cleanup
-                pass
-            with self._lock:
-                self.stats.segments_unlinked += 1
-        # The worker's result segment has a deterministic name, so it can be
-        # reclaimed even when the worker died before reporting it back.
-        if uid is not None and _unlink_segment_name(f"{RESULT_SEGMENT_PREFIX}{uid}"):
-            with self._lock:
-                self.stats.segments_created += 1
-                self.stats.segments_unlinked += 1
-
-    # ------------------------------------------------------------- worker side
-    def open_shard(self, payload: tuple):
-        kind, _, *rest = payload
-        if kind == "pickle":
-            return pickle.loads(rest[0]), lambda: None
-        name, length = rest
-        segment = shared_memory.SharedMemory(name=name)
-        block = ColumnBlockCodec.decode(segment.buf[:length])
-        tables = [Table.from_block(block, index) for index in range(block.num_tables)]
-
-        def cleanup() -> None:
-            block.close()
-            segment.close()
-
-        return tables, cleanup
-
-    def encode_results(self, results: list, payload: tuple) -> tuple:
-        uid = payload[1]
-        try:
-            blob = PredictionBlockCodec.encode_predictions(results)
-        except UnsupportedPayloadError:
-            return ("pickle", pickle.dumps(results, _PICKLE_PROTOCOL))
-        if len(blob) > self.max_segment_bytes:
-            return ("pickle", pickle.dumps(results, _PICKLE_PROTOCOL))
-        segment = shared_memory.SharedMemory(
-            create=True, name=f"{RESULT_SEGMENT_PREFIX}{uid}", size=max(len(blob), 1)
-        )
-        try:
-            segment.buf[: len(blob)] = blob
-        except BaseException:  # pragma: no cover - never leak a half-written segment
-            segment.close()
-            segment.unlink()
-            raise
-        segment.close()
-        return ("shm", segment.name, len(blob))
-
-
-_TRANSPORTS: dict = {
-    PickleTransport.name: PickleTransport,
-    ShmTransport.name: ShmTransport,
-}
-
 
 def resolve_transport(transport: "Transport | str | None") -> Transport:
     """Normalise a transport argument into a :class:`Transport` instance.
 
-    Accepts an instance (returned unchanged), a name — ``"pickle"``,
-    ``"shm"`` or ``"tcp"`` (peers from ``$REPRO_NET_PEERS``) — a peer spec
-    like ``"tcp://host:port[,host2:port2]"``, a typed
-    :class:`~repro.serving.spec.TransportSpec` (resolved through its
-    canonical string), or ``None`` (the pickle baseline).
+    Accepts an instance (returned unchanged), a spec string — ``"pickle"``,
+    ``"tcp"`` (peers from ``$REPRO_NET_PEERS``) or
+    ``"tcp://host:port[,host2:port2]"``, parsed by
+    :meth:`~repro.serving.spec.TransportSpec.parse` — a typed
+    :class:`~repro.serving.spec.TransportSpec`, or ``None`` (the pickle
+    baseline).
     """
     if transport is None:
         return PickleTransport()
@@ -1177,20 +952,14 @@ def resolve_transport(transport: "Transport | str | None") -> Transport:
         return transport
     from repro.serving.spec import TransportSpec  # local: spec is leaf-level
 
-    if isinstance(transport, TransportSpec):
-        transport = str(transport)
     if isinstance(transport, str):
-        if transport == "tcp" or transport.startswith("tcp://"):
+        transport = TransportSpec.parse(transport)
+    if isinstance(transport, TransportSpec):
+        if transport.name == "tcp":
             from repro.serving import net  # local import: net imports this module
 
             return net.NetTransport.from_spec(transport)
-        transport_class = _TRANSPORTS.get(transport)
-        if transport_class is None:
-            raise ConfigurationError(
-                f"unknown shard transport {transport!r}; "
-                f"expected one of {sorted(_TRANSPORTS) + ['tcp', 'tcp://host:port']}"
-            )
-        return transport_class()
+        return PickleTransport()
     raise ConfigurationError(
         f"transport must be a Transport, a name, or None, got {type(transport).__name__}"
     )

@@ -525,7 +525,7 @@ class TestServiceSloIntegration:
 
         degraded_c, degraded_batches, summary = asyncio.run(drive())
         assert degraded_c == pytest.approx(0.80)
-        stats = summary["stats"]
+        stats = summary["service"]
         slo = summary["slo"]
         assert slo["transitions"][0]["action"] == "degrade"
         assert any(entry["action"] == "recover" for entry in slo["transitions"])
@@ -773,7 +773,7 @@ class TestFrontendHttp:
         assert health == 200 and health_body == {"status": "ok", "accepting": True}
         assert stats == 200
         assert stats_body["frontend"]["admitted"] == 0
-        service_stats = stats_body["service"]["stats"]
+        service_stats = stats_body["service"]["service"]
         for key in ("shed_total", "timed_out_total", "degraded_batches", "confidence_threshold"):
             assert key in service_stats
         assert missing == 404

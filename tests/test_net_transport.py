@@ -9,9 +9,9 @@ Contracts pinned here:
   frames, corrupt bytes, dead peers, slow peers): network failures degrade
   to running the shard locally, counted with a reason, never to a changed
   or missing prediction;
-* **lifecycle** — a killed or wedged peer never leaks a ``/dev/shm``
-  segment or a socket, and never wedges the dispatcher (the next clean run
-  succeeds on the same transport).
+* **lifecycle** — a killed or wedged peer never leaks a socket, and never
+  wedges the dispatcher (the next clean run succeeds on the same
+  transport).
 
 The faults come from :mod:`faultnet`'s frame-aware proxy, so the same
 machinery is reusable by the E16 chaos benchmark leg.
@@ -19,7 +19,6 @@ machinery is reusable by the E16 chaos benchmark leg.
 
 from __future__ import annotations
 
-import os
 import socket
 import time
 
@@ -45,32 +44,7 @@ from repro.serving.net import (
     read_frame,
     write_frame,
 )
-from repro.serving.transport import (
-    RESULT_SEGMENT_PREFIX,
-    SHARD_SEGMENT_PREFIX,
-    reset_transport_stats,
-    transport_stats,
-)
-
-SHM_DIR = "/dev/shm"
-
-
-def _our_segments() -> list[str]:
-    if not os.path.isdir(SHM_DIR):  # pragma: no cover - non-Linux fallback
-        return []
-    return sorted(
-        name
-        for name in os.listdir(SHM_DIR)
-        if name.startswith((SHARD_SEGMENT_PREFIX, RESULT_SEGMENT_PREFIX))
-    )
-
-
-@pytest.fixture(autouse=True)
-def _no_segment_leaks():
-    """The net transport must never materialize a /dev/shm segment."""
-    before = _our_segments()
-    yield
-    assert _our_segments() == before, "net transport leaked shared-memory segments"
+from repro.serving.transport import reset_transport_stats, transport_stats
 
 
 #: Fast-failure knobs so fault tests run in milliseconds, not deadlines.
@@ -126,12 +100,9 @@ def _transport(*specs, **config) -> NetTransport:
 
 
 def _roundtrip(transport: NetTransport, fn=predict_tables, tables=None):
-    """encode → run_in_worker → decode → release, returning the results."""
+    """encode → run_in_worker → decode, returning the results."""
     payload = transport.encode_shard(tables if tables is not None else _tables())
-    try:
-        return transport.decode_results(transport.run_in_worker(fn, payload))
-    finally:
-        transport.release(payload)
+    return transport.decode_results(transport.run_in_worker(fn, payload))
 
 
 # -------------------------------------------------------------------- config
@@ -311,7 +282,6 @@ class TestEncodeShard:
         assert payload[0] == "net"
         assert isinstance(payload[2], bytes)
         assert payload[3] == server.address
-        transport.release(payload)
 
     def test_non_table_shards_fall_back_to_pickle(self):
         transport = _transport("tcp://127.0.0.1:9001")
@@ -366,7 +336,6 @@ class TestLoopback:
             payload = transport.encode_shard(_tables())
             with pytest.raises(ValueError, match="boom"):
                 transport.run_in_worker(failing_fn, payload)
-            transport.release(payload)
             assert srv.stats["fn_errors"] == 1
             assert srv.wait_idle()
 

@@ -15,8 +15,7 @@ The acceptance gates pinned here:
 * **Pre-warm** — a restarted pool loads worker LRUs from the shared
   segment directory before serving.
 * **Stats vocabulary** — every ``summary()`` shares the
-  :func:`repro.serving.stats.render_stats` sections, and every deprecated
-  alias in :data:`DEPRECATED_KEYS` still equals its canonical path.
+  :func:`repro.serving.stats.render_stats` sections.
 """
 
 from __future__ import annotations
@@ -45,32 +44,29 @@ from repro.serving import (
 )
 from repro.serving.pool import WarmthIndex
 from repro.serving.profile_store import PersistentProfileStore
-from repro.serving.stats import DEPRECATED_KEYS, render_stats, resolve_key
+from repro.serving.stats import render_stats
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-#: Every spec form the serving layer has ever documented.  The scrape test
-#: below proves docs/SERVING.md stays inside this grammar; this literal list
-#: keeps the round-trip gate meaningful even if the doc's phrasing changes.
+#: Every spec form the serving layer documents.  The scrape test below
+#: proves docs/SERVING.md stays inside this grammar; this literal list keeps
+#: the round-trip gate meaningful even if the doc's phrasing changes.
 DOCUMENTED_SPECS = [
     "serial",
-    "threaded",
-    "threaded:4",
     "multiprocess",
     "multiprocess:8",
-    "multiprocess:8+shm",
     "multiprocess+pickle",
     "multiprocess:8+tcp://worker-a:7071,worker-b:7071",
     "multiprocess:8+tcp",
     "pool:4",
-    "pool:4@multiprocess:2+shm",
+    "pool:4@multiprocess:2",
 ]
 
 #: Canonical spec-string shapes as they appear in inline code spans in the
 #: serving doc.  Matches full tokens only, so prose words that merely start
 #: with a backend name ("serialization") never trip the gate.
 _CANONICAL_SPEC = re.compile(
-    r"^(?:pool:\d+(?:@\S+)?|(?:serial|threaded|multiprocess)(?:[:+]\S+)?)$"
+    r"^(?:pool:\d+(?:@\S+)?|(?:serial|multiprocess)(?:[:+]\S+)?)$"
 )
 
 
@@ -106,7 +102,7 @@ class TestServingSpec:
             assert str(spec) == candidate, candidate
             found.add(candidate)
         # The scrape actually saw the documented tables, not an empty page.
-        assert {"serial", "multiprocess:8+shm", "pool:4"} <= found
+        assert {"serial", "multiprocess:8+tcp", "pool:4"} <= found
 
     def test_component_parsers(self):
         backend = BackendSpec.parse("multiprocess:4+tcp://h:7071")
@@ -121,7 +117,17 @@ class TestServingSpec:
         assert str(store) == "disk:/var/lib/repro:64"
 
     def test_invalid_specs_raise_configuration_error(self):
-        for bad in ("", "warp", "serial+shm", "threaded:x", "pool:0", "pool:2@"):
+        for bad in (
+            "",
+            "warp",
+            "serial+pickle",
+            "multiprocess:x",
+            "pool:0",
+            "pool:2@",
+            "threaded:2",
+            "multiprocess+shm",
+            "pool:2@multiprocess:2+shm",
+        ):
             with pytest.raises(ConfigurationError):
                 ServingSpec.parse(bad)
         with pytest.raises(ConfigurationError):
@@ -130,10 +136,11 @@ class TestServingSpec:
             TransportSpec.parse("tcp://missing-port")
 
     def test_typed_specs_resolve_like_their_strings(self):
-        assert ServingSpec.parse("threaded:2").resolve_backend().name == "threaded"
-        assert resolve_backend(BackendSpec.parse("threaded:2")).name == "threaded"
+        assert ServingSpec.parse("multiprocess:2").resolve_backend().name == "multiprocess"
+        assert resolve_backend(BackendSpec.parse("multiprocess:2")).max_workers == 2
         assert resolve_backend(ServingSpec.parse("serial")).name == "serial"
-        assert resolve_transport(TransportSpec.parse("shm")).name == "shm"
+        assert resolve_transport(TransportSpec.parse("pickle")).name == "pickle"
+        assert resolve_transport(TransportSpec.parse("tcp://h:7071")).peers == [("h", 7071)]
 
     def test_frontend_spec_builds_a_validated_config(self):
         config = FrontendSpec(tenant_rate=None, default_deadline=None).to_config()
@@ -257,8 +264,8 @@ class TestAnnotationPool:
     def test_spec_forms_and_rejections(self, pretrained_typer):
         pool = AnnotationPool(pretrained_typer, "pool:3")
         assert pool.pool_spec.workers == 3
-        pool = AnnotationPool(pretrained_typer, ServingSpec.parse("pool:2@threaded:2"))
-        assert str(pool.spec) == "pool:2@threaded:2"
+        pool = AnnotationPool(pretrained_typer, ServingSpec.parse("pool:2@multiprocess:2"))
+        assert str(pool.spec) == "pool:2@multiprocess:2"
         pool = AnnotationPool(pretrained_typer, PoolSpec(workers=1))
         assert pool.pool_spec.workers == 1
         with pytest.raises(ConfigurationError):
@@ -330,35 +337,10 @@ class TestUnifiedStats:
 
         report = asyncio.run(drive())
         typer_report = pretrained_typer.summary()
-        assert report["stats"] is report["service"]
+        assert "service" in report and "stats" not in report
         assert "columnar_kernels" in report
         assert "columnar_kernels" in typer_report
         assert "timings" in typer_report
-
-    def test_deprecated_aliases_equal_their_canonical_paths(
-        self, pretrained_typer, tables, tmp_path
-    ):
-        async def drive():
-            service = AnnotationService(pretrained_typer)
-            async with service:
-                for table in tables:
-                    await service.annotate(table.copy())
-            return service.summary()
-
-        store = PersistentProfileStore(tmp_path, flush_interval=0)
-        try:
-            with store.activated():
-                report = asyncio.run(drive())
-        finally:
-            store.close()
-        assert "profile_store" in report
-        for alias, canonical in DEPRECATED_KEYS.items():
-            if alias.startswith("summary."):
-                continue  # section renames, not value aliases
-            target = resolve_key(report, canonical)
-            if target is None:  # section absent in this run (e.g. no transport)
-                continue
-            assert resolve_key(report, alias) == target, (alias, canonical)
 
     def test_render_stats_composes_caller_sections(self, pretrained_typer):
         report = render_stats(typer=pretrained_typer)

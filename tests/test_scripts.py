@@ -2,19 +2,23 @@
 
 Covers ``scripts/check_doc_links.py`` (links, anchors, and the embedded
 knob table), ``scripts/bench_summary.py`` (rendering and the ``--check``
-staleness gate), and ``scripts/scan_leaks.py`` (log markers, the shm scan,
-and the missing-log usage error).  Each script keeps its repo paths in
-module-level constants precisely so these tests can point it at a tmp tree.
+staleness gate), ``scripts/scan_leaks.py`` (log markers, the shm scan,
+and the missing-log usage error), and the ``setup.py`` package metadata.
+Each script keeps its repo paths in module-level constants precisely so
+these tests can point it at a tmp tree.
 """
 
 from __future__ import annotations
 
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import repro
 from repro.analysis.knobs import TABLE_BEGIN, TABLE_END, render_knob_table
 
 SCRIPTS_DIR = Path(__file__).resolve().parent.parent / "scripts"
@@ -243,3 +247,16 @@ def test_scan_leaks_custom_markers_replace_defaults(scan_mod, tmp_path):
     assert scan_mod.main(argv) == 1
     # ...and with only the default markers this line is not a leak.
     assert scan_mod.main(["--log", str(log), "--no-shm"]) == 0
+
+
+# ------------------------------------------------------------------ packaging
+def test_setup_declares_the_package_metadata():
+    """``setup.py`` carries the real name and the package's own version."""
+    result = subprocess.run(
+        [sys.executable, "setup.py", "--name", "--version"],
+        cwd=SCRIPTS_DIR.parent,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.split() == ["repro", repro.__version__]

@@ -11,10 +11,13 @@ changing predictions, and graceful shutdown.
 from __future__ import annotations
 
 import asyncio
+import os
+from functools import partial
 
 import numpy as np
 import pytest
 
+from repro.core import colblock
 from repro.core.errors import ConfigurationError, ServingError
 from repro.core.table import Column, get_active_profile_store
 from repro.serving import (
@@ -22,10 +25,12 @@ from repro.serving import (
     MultiprocessBackend,
     ProfileStore,
     SerialBackend,
-    ThreadedBackend,
     resolve_backend,
     shard_items,
 )
+from repro.serving.backends import guided_shards
+from repro.serving.net import NetTransport
+from repro.serving.transport import PickleTransport
 
 
 def _comparable(predictions):
@@ -79,33 +84,47 @@ class TestSharding:
         with pytest.raises(ConfigurationError):
             shard_items([1], 0)
 
+    def test_guided_shards_shrink_to_single_items(self):
+        items = list(range(160))
+        shards = guided_shards(items, 2)
+        assert [item for shard in shards for item in shard] == items
+        sizes = [len(shard) for shard in shards]
+        assert sizes[0] == 40  # a quarter of the items for two workers
+        assert sizes == sorted(sizes, reverse=True)
+        assert sizes[-4:] == [1, 1, 1, 1]
+        assert guided_shards([7], 4) == [[7]]
+        with pytest.raises(ConfigurationError):
+            guided_shards(items, 0)
+
+    def test_pickle_shards_are_dynamic_and_tcp_shards_one_per_worker(self):
+        assert PickleTransport.dynamic_shards
+        assert not NetTransport.dynamic_shards
+
 
 class TestResolveBackend:
     def test_specs(self):
         assert isinstance(resolve_backend(None), SerialBackend)
         assert isinstance(resolve_backend("serial"), SerialBackend)
-        threaded = resolve_backend("threaded:3")
-        assert isinstance(threaded, ThreadedBackend)
-        assert threaded.max_workers == 3
         multiprocess = resolve_backend("multiprocess:2")
         assert isinstance(multiprocess, MultiprocessBackend)
         assert multiprocess.max_workers == 2
+        # The removed threaded backend names its replacement.
+        with pytest.raises(ConfigurationError, match="'serial' or 'multiprocess"):
+            resolve_backend("threaded:3")
 
     def test_instance_passthrough(self):
-        backend = ThreadedBackend(max_workers=2)
+        backend = MultiprocessBackend(max_workers=2)
         assert resolve_backend(backend) is backend
 
     def test_unknown_spec(self):
         with pytest.raises(ConfigurationError):
             resolve_backend("distributed")
         with pytest.raises(ConfigurationError):
-            resolve_backend("threaded:many")
+            resolve_backend("multiprocess:many")
         with pytest.raises(ConfigurationError):
             resolve_backend(42)
 
     def test_zero_workers_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ThreadedBackend(max_workers=0)
         with pytest.raises(ConfigurationError):
             MultiprocessBackend(max_workers=0)
         with pytest.raises(ConfigurationError):
@@ -116,19 +135,49 @@ class TestResolveBackend:
         items = list(range(23))
         expected = [2 * item for item in items]
         assert SerialBackend().map_shards(doubler, items) == expected
-        assert ThreadedBackend(max_workers=4).map_shards(doubler, items) == expected
+        assert MultiprocessBackend(max_workers=4).map_shards(doubler, items) == expected
+
+
+def _with_kernel_delta(fn, shard):
+    """Run *fn* on *shard*; tag every result with this process's pid and the
+    columnar-kernel hits the call added."""
+    before = colblock.kernel_stats()["kernel_hits"]
+    results = fn(shard)
+    hits = colblock.kernel_stats()["kernel_hits"] - before
+    return [(result, os.getpid(), hits) for result in results]
+
+
+class _KernelProbeBackend(MultiprocessBackend):
+    """``multiprocess`` with the shard function wrapped by :func:`_with_kernel_delta`."""
+
+    def map_shards(self, fn, items):
+        return super().map_shards(partial(_with_kernel_delta, fn), items)
 
 
 # -------------------------------------------------------------------- parity
 class TestBackendParity:
-    def test_threaded_and_multiprocess_match_serial(self, pretrained_typer, mixed_tables):
+    def test_multiprocess_matches_serial(self, pretrained_typer, mixed_tables):
         serial = pretrained_typer.annotate_corpus(_fresh(mixed_tables))
-        threaded = pretrained_typer.annotate_corpus(_fresh(mixed_tables), backend="threaded:4")
         multiprocess = pretrained_typer.annotate_corpus(
             _fresh(mixed_tables), backend="multiprocess:4"
         )
-        assert _comparable(serial) == _comparable(threaded)
         assert _comparable(serial) == _comparable(multiprocess)
+
+    def test_multiprocess_workers_run_the_columnar_kernels(self, pretrained_typer, mixed_tables):
+        """Workers convert their unpickled shard to column blocks, so the
+        kernels run inside every worker — with serial's exact predictions."""
+        assert colblock.kernels_enabled()
+        serial = pretrained_typer.annotate_corpus(_fresh(mixed_tables))
+        tagged = pretrained_typer.annotate_corpus(
+            _fresh(mixed_tables), backend=_KernelProbeBackend(max_workers=2)
+        )
+        assert _comparable([prediction for prediction, _, _ in tagged]) == _comparable(serial)
+        # One (pid, hits) record per shard; a worker may run several shards.
+        shard_records = {(pid, hits) for _, pid, hits in tagged}
+        worker_pids = {pid for pid, _ in shard_records}
+        assert 1 <= len(worker_pids) <= 2
+        assert os.getpid() not in worker_pids
+        assert all(hits > 0 for _, hits in shard_records), shard_records
 
     def test_adapted_customer_bulk_matches_per_table(self, adapted_typer, mixed_tables):
         per_table = [adapted_typer.annotate(t, customer_id="acme") for t in mixed_tables]
@@ -143,13 +192,9 @@ class TestBackendParity:
 
     def test_adapted_customer_backends_match_serial(self, adapted_typer, mixed_tables):
         serial = adapted_typer.annotate_corpus(_fresh(mixed_tables), customer_id="acme")
-        threaded = adapted_typer.annotate_corpus(
-            _fresh(mixed_tables), customer_id="acme", backend="threaded:2"
-        )
         multiprocess = adapted_typer.annotate_corpus(
             _fresh(mixed_tables), customer_id="acme", backend="multiprocess:2"
         )
-        assert _comparable(serial) == _comparable(threaded)
         assert _comparable(serial) == _comparable(multiprocess)
 
     def test_vectorized_blend_matches_combine_with_global(self, adapted_typer, mixed_tables):
@@ -192,11 +237,9 @@ class TestBackendParity:
         featurizer = trained_classifier.featurizer
         rows = [(column, table) for table in eval_corpus for column in table.columns]
         serial = featurizer.extract_many(rows)
-        threaded = np.vstack(ThreadedBackend(max_workers=3).map_shards(featurizer.extract_many, rows))
         multiprocess = np.vstack(
             MultiprocessBackend(max_workers=2).map_shards(featurizer.extract_many, rows)
         )
-        assert serial.tobytes() == threaded.tobytes()
         assert serial.tobytes() == multiprocess.tobytes()
 
 
@@ -279,15 +322,6 @@ class TestProfileStore:
         # The second pass reuses every namespace created by the first.
         assert store.hit_rate > 0.5
         assert get_active_profile_store() is None
-
-    def test_store_with_threaded_backend(self, pretrained_typer, mixed_tables):
-        baseline = pretrained_typer.annotate_corpus(_fresh(mixed_tables))
-        store = ProfileStore(max_columns=512)
-        with store.activated():
-            threaded = pretrained_typer.annotate_corpus(
-                _fresh(mixed_tables), backend="threaded:4"
-            )
-        assert _comparable(baseline) == _comparable(threaded)
 
     def test_activate_and_deactivate(self):
         store = ProfileStore()

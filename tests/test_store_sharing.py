@@ -647,12 +647,11 @@ class TestServiceExposure:
         async def drive():
             async with AnnotationService(pretrained_typer, max_batch_delay=0.0) as service:
                 await service.annotate(fig3_table.copy())
-                return service.stats, service.summary()
+                return service.summary()
 
         with store.activated():
-            stats, summary = asyncio.run(drive())
+            summary = asyncio.run(drive())
         store.close()
         assert summary["profile_store"]["shared_hits"] == store.shared_hits
         assert summary["profile_store"]["share_across_processes"] is True
-        assert stats.store_shared_hits == store.shared_hits
-        assert stats.to_dict()["store_shared_hits"] == store.shared_hits
+        assert "store_shared_hits" not in summary["service"]

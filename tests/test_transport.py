@@ -1,21 +1,24 @@
-"""Zero-copy shard transport: codecs, lifecycle, fallback, and parity.
+"""Shard transports: the block codecs, the pickle seam, fallback, and stats.
 
 Three contracts are pinned here:
 
-* **parity** — annotating through ``multiprocess:N+shm`` (and every fallback
-  path inside it) returns predictions bit-identical to the serial path;
-* **lifecycle** — no ``/dev/shm`` segment survives a run, including runs
-  where a forked worker crashed mid-shard or raised mid-annotation;
+* **codecs** — the column-block and prediction-block codecs (the tcp wire
+  format) round-trip every supported value bit-exactly;
 * **fallback** — shards the block codec cannot represent (non-table items,
   exotic cell values, oversized encodings) degrade to pickle transparently,
-  never to an error or a changed prediction.
+  never to an error or a changed prediction, and a worker that crashes or
+  raises mid-shard surfaces as an error without leaving workers behind;
+* **stats** — the process-wide per-transport aggregate counts every
+  instance exactly once.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import pickle
 import random
+import socket
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
@@ -27,50 +30,33 @@ from repro.core.table import Column, Table
 from repro.serving import (
     ColumnBlockCodec,
     MultiprocessBackend,
+    NetConfig,
+    NetTransport,
     PickleTransport,
     PredictionBlockCodec,
-    ShmTransport,
-    ThreadedBackend,
     resolve_backend,
     resolve_transport,
     reset_transport_stats,
     transport_stats,
 )
-from repro.serving.transport import (
-    RESULT_SEGMENT_PREFIX,
-    SHARD_SEGMENT_PREFIX,
-    UnsupportedPayloadError,
-)
-
-SHM_DIR = "/dev/shm"
-
-
-def _our_segments() -> list[str]:
-    """Names of live shared-memory segments created by the shard transport."""
-    if not os.path.isdir(SHM_DIR):  # pragma: no cover - non-Linux fallback
-        return []
-    return sorted(
-        name
-        for name in os.listdir(SHM_DIR)
-        if name.startswith((SHARD_SEGMENT_PREFIX, RESULT_SEGMENT_PREFIX))
-    )
-
-
-@pytest.fixture(autouse=True)
-def _no_segment_leaks():
-    """Every test in this module must leave /dev/shm exactly as it found it."""
-    before = _our_segments()
-    yield
-    assert _our_segments() == before, "test leaked shared-memory segments"
-
-
-def _comparable(predictions):
-    """Everything except wall-clock timings (bit-exact float comparison)."""
-    return [(p.table_name, p.step_trace, p.columns) for p in predictions]
+from repro.serving.transport import UnsupportedPayloadError
 
 
 def _fresh(tables):
     return [table.copy() for table in tables]
+
+
+def _dead_peer() -> tuple[str, int]:
+    """A loopback address nothing listens on (connects are refused)."""
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        return probe.getsockname()
+
+
+def _tcp(**config) -> NetTransport:
+    """A tcp transport whose only peer refuses: every block-encoded shard
+    runs on the transport's local fallback, over the decoded block."""
+    return NetTransport([_dead_peer()], NetConfig(connect_retries=0, **config))
 
 
 # The canonical "every supported cell type" specimen lives in datagen so the
@@ -199,19 +185,19 @@ class TestPredictionBlockCodec:
 # ------------------------------------------------------------------ spec seam
 class TestTransportSpecs:
     def test_multiprocess_spec_selects_transport(self):
-        backend = resolve_backend("multiprocess:4+shm")
+        backend = resolve_backend("multiprocess:4+tcp://127.0.0.1:9001")
         assert isinstance(backend, MultiprocessBackend)
         assert backend.max_workers == 4
-        assert backend.transport.name == "shm"
-        assert backend.describe()["transport"] == "shm"
+        assert backend.transport.name == "tcp"
+        assert backend.describe()["transport"] == "tcp"
         assert resolve_backend("multiprocess+pickle").transport.name == "pickle"
         assert resolve_backend("multiprocess:2").transport.name == "pickle"
 
     def test_transport_spec_rejected_off_multiprocess(self):
         with pytest.raises(ConfigurationError):
-            resolve_backend("serial+shm")
+            resolve_backend("serial+pickle")
         with pytest.raises(ConfigurationError):
-            resolve_backend("threaded:2+shm")
+            resolve_backend("serial+tcp://127.0.0.1:9001")
 
     def test_unknown_transport_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -221,11 +207,12 @@ class TestTransportSpecs:
 
     def test_resolve_transport(self):
         assert resolve_transport(None).name == "pickle"
-        assert resolve_transport("shm").name == "shm"
-        transport = ShmTransport()
+        assert resolve_transport("pickle").name == "pickle"
+        transport = PickleTransport()
         assert resolve_transport(transport) is transport
-        with pytest.raises(ConfigurationError):
-            ShmTransport(max_segment_bytes=0)
+        # The removed shared-memory transport names its replacement.
+        with pytest.raises(ConfigurationError, match=r"multiprocess\[:N\]"):
+            resolve_transport("shm")
 
 
 # ------------------------------------------------------------------- lifecycle
@@ -234,19 +221,8 @@ def _shard_names(shard):
 
 
 class TestLifecycle:
-    def test_success_path_unlinks_every_segment(self):
-        transport = ShmTransport()
-        backend = MultiprocessBackend(max_workers=3, transport=transport)
-        tables = [_mixed_table().copy() for _ in range(6)]
-        results = backend.map_shards(_shard_names, tables)
-        assert results == _shard_names(tables)
-        assert transport.stats.segments_created > 0
-        assert transport.stats.segments_created == transport.stats.segments_unlinked
-        assert _our_segments() == []
-
     def test_worker_crash_mid_shard_leaks_nothing(self):
-        transport = ShmTransport()
-        backend = MultiprocessBackend(max_workers=2, transport=transport)
+        backend = MultiprocessBackend(max_workers=2)
         tables = [_mixed_table().copy() for _ in range(4)]
 
         def crash(shard):
@@ -254,11 +230,10 @@ class TestLifecycle:
 
         with pytest.raises(BrokenProcessPool):
             backend.map_shards(crash, tables)
-        assert transport.stats.segments_created > 0
-        assert _our_segments() == []
+        assert multiprocessing.active_children() == []
 
     def test_worker_exception_mid_shard_propagates_and_leaks_nothing(self):
-        backend = MultiprocessBackend(max_workers=2, transport="shm")
+        backend = MultiprocessBackend(max_workers=2)
         tables = [_mixed_table().copy() for _ in range(4)]
 
         def boom(shard):
@@ -266,63 +241,25 @@ class TestLifecycle:
 
         with pytest.raises(ValueError, match="mid-shard"):
             backend.map_shards(boom, tables)
-        assert _our_segments() == []
-
-    def test_encode_failure_mid_batch_releases_earlier_segments(self):
-        """If encoding shard N fails (e.g. /dev/shm exhaustion), the segments
-        already created for shards 0..N-1 must still be unlinked."""
-        transport = ShmTransport()
-        original_encode = transport.encode_shard
-        calls = {"n": 0}
-
-        def failing_encode(items):
-            calls["n"] += 1
-            if calls["n"] == 2:
-                raise OSError("no space left on /dev/shm")
-            return original_encode(items)
-
-        transport.encode_shard = failing_encode
-        backend = MultiprocessBackend(max_workers=2, transport=transport)
-        tables = [_mixed_table().copy() for _ in range(4)]
-        with pytest.raises(OSError, match="no space left"):
-            backend.map_shards(_shard_names, tables)
-        assert transport.stats.segments_created == 1
-        assert transport.stats.segments_unlinked == 1
-        assert _our_segments() == []
-
-    def test_orphaned_result_segment_is_reclaimed_by_release(self):
-        """A worker that died after creating its result segment but before
-        reporting it back leaves a deterministically named orphan; release()
-        must find and unlink it."""
-        from multiprocessing import shared_memory
-
-        transport = ShmTransport()
-        payload = transport.encode_shard([_mixed_table()])
-        assert payload[0] == "shm"
-        uid = payload[1]
-        # repro-lint: disable=RL003 deliberately orphaned to simulate a dead worker; release() below must reclaim it
-        orphan = shared_memory.SharedMemory(
-            create=True, name=f"{RESULT_SEGMENT_PREFIX}{uid}", size=16
-        )
-        orphan.close()
-        transport.release(payload)
-        assert _our_segments() == []
-        # release is idempotent.
-        transport.release(payload)
+        assert multiprocessing.active_children() == []
 
 
 # -------------------------------------------------------------------- fallback
 class TestPickleFallback:
+    """The tcp transport's per-shard pickle fallback, end to end through
+    multiprocess workers (its peer refuses, so block-encoded shards run on
+    the local fallback over the decoded block)."""
+
     def test_results_aliasing_input_views_survive_the_trip(self):
         """A shard function may return the view-backed input tables
         themselves; the escaping lazy views must be materialized, not shipped
-        as dead pointers into an unlinked segment."""
-        transport = ShmTransport()
+        as dead pointers into a closed block."""
+        transport = _tcp()
         backend = MultiprocessBackend(max_workers=2, transport=transport)
         tables = [_mixed_table().copy() for _ in range(4)]
         echoed = backend.map_shards(lambda shard: shard, tables)
-        assert transport.stats.pickle_fallbacks == 0  # shards rode shm
-        assert transport.stats.result_pickle_fallbacks == 2  # tables are not predictions
+        assert transport.stats.pickle_fallbacks == 0  # shards rode the block codec
+        assert transport.stats.local_fallbacks == 2
         for got, expected in zip(echoed, tables):
             assert got.name == expected.name
             for got_column, expected_column in zip(got.columns, expected.columns):
@@ -330,20 +267,18 @@ class TestPickleFallback:
                 # content_hash covers every value with its exact type (and is
                 # NaN-tolerant, unlike list equality).
                 assert got_column.content_hash() == expected_column.content_hash()
-        assert _our_segments() == []
 
     def test_non_table_items_fall_back(self):
-        transport = ShmTransport()
+        transport = _tcp()
         backend = MultiprocessBackend(max_workers=2, transport=transport)
         doubled = backend.map_shards(lambda shard: [2 * x for x in shard], list(range(10)))
         assert doubled == [2 * x for x in range(10)]
         assert transport.stats.pickle_fallbacks == 2
-        # Integer results cannot ride the record codec either.
-        assert transport.stats.result_pickle_fallbacks == 2
-        assert transport.stats.segments_created == 0
+        # Pickled shards never touch the wire.
+        assert transport.stats.local_fallbacks == 0
 
     def test_unsupported_cell_values_fall_back(self):
-        transport = ShmTransport()
+        transport = _tcp()
         backend = MultiprocessBackend(max_workers=2, transport=transport)
         tables = [
             Table.from_columns_dict({"c": [("tuple", "cell")]}, name=f"t{i}") for i in range(4)
@@ -353,85 +288,17 @@ class TestPickleFallback:
         assert transport.stats.pickle_fallbacks == 2
 
     def test_oversized_shard_falls_back(self):
-        transport = ShmTransport(max_segment_bytes=64)
+        transport = _tcp(max_message_bytes=64)
         backend = MultiprocessBackend(max_workers=2, transport=transport)
         tables = [_mixed_table().copy() for _ in range(4)]
         results = backend.map_shards(_shard_names, tables)
         assert results == _shard_names(tables)
         assert transport.stats.pickle_fallbacks == 2
-        assert "max_segment_bytes" in transport.stats.last_fallback_reason
-        assert transport.stats.segments_created == 0
-        assert _our_segments() == []
-
-    def test_oversized_results_fall_back_while_shard_uses_shm(self):
-        """Shard fits the segment budget, results do not: the worker must
-        return pickled results rather than fail (per-leg fallback)."""
-        small = Table.from_columns_dict({"c": ["x", "y"]}, name="t")
-        shard_size = len(ColumnBlockCodec.encode_tables([small, small]))
-        transport = ShmTransport(max_segment_bytes=shard_size)
-        backend = MultiprocessBackend(max_workers=2, transport=transport)
-
-        def fat_predictions(shard):
-            return [
-                TablePrediction(
-                    table_name=table.name,
-                    columns=[
-                        ColumnPrediction(
-                            column_index=0,
-                            column_name="c" * 4096,
-                            scores=[TypeScore(0.5, "city")],
-                        )
-                    ],
-                )
-                for table in shard
-            ]
-
-        tables = [small.copy() for _ in range(4)]
-        results = backend.map_shards(fat_predictions, tables)
-        assert [r.columns[0].column_name for r in results] == ["c" * 4096] * 4
-        # The legs fall back independently and are counted independently.
-        assert transport.stats.pickle_fallbacks == 0
-        assert transport.stats.result_pickle_fallbacks == 2
-        assert transport.stats.segments_created == transport.stats.segments_unlinked
-        assert _our_segments() == []
+        assert "max_message_bytes" in transport.stats.last_fallback_reason
 
 
 # --------------------------------------------------------------------- parity
 class TestTransportParity:
-    def test_shm_annotation_matches_serial_and_pickle(self, pretrained_typer, eval_corpus):
-        tables = [table.copy() for table in eval_corpus]
-        serial = pretrained_typer.annotate_corpus(_fresh(tables))
-        via_pickle = pretrained_typer.annotate_corpus(
-            _fresh(tables), backend="multiprocess:2+pickle"
-        )
-        via_shm = pretrained_typer.annotate_corpus(_fresh(tables), backend="multiprocess:2+shm")
-        assert _comparable(serial) == _comparable(via_pickle)
-        assert _comparable(serial) == _comparable(via_shm)
-        assert _our_segments() == []
-
-    def test_shm_parity_across_worker_counts(self, pretrained_typer, eval_corpus):
-        tables = [table.copy() for table in eval_corpus]
-        serial = pretrained_typer.annotate_corpus(_fresh(tables))
-        for spec in ("multiprocess:3+shm", "multiprocess:4+shm"):
-            sharded = pretrained_typer.annotate_corpus(_fresh(tables), backend=spec)
-            assert _comparable(sharded) == _comparable(serial), spec
-
-    def test_shm_ships_fewer_bytes_than_pickle(self, pretrained_typer, eval_corpus):
-        tables = [table.copy() for table in eval_corpus]
-        pickle_transport = PickleTransport()
-        shm_transport = ShmTransport()
-        pretrained_typer.annotate_corpus(
-            _fresh(tables), backend=MultiprocessBackend(2, transport=pickle_transport)
-        )
-        pretrained_typer.annotate_corpus(
-            _fresh(tables), backend=MultiprocessBackend(2, transport=shm_transport)
-        )
-        assert shm_transport.stats.pickle_fallbacks == 0
-        assert shm_transport.stats.shards == pickle_transport.stats.shards
-        # The acceptance bar proper (≥ 5×) is pinned by the E13 benchmark on a
-        # larger corpus; here we require a clear win on the tiny test corpus.
-        assert shm_transport.stats.bytes_shipped * 2 < pickle_transport.stats.bytes_shipped
-
     def test_pickle_transport_accounting_matches_actual_pickle(self):
         transport = PickleTransport()
         items = [_mixed_table()]
@@ -441,19 +308,13 @@ class TestTransportParity:
         cleanup()
         assert decoded[0].column_names == items[0].column_names
 
-    def test_threaded_backend_untouched_by_transport_seam(self, pretrained_typer, eval_corpus):
-        tables = [table.copy() for table in eval_corpus]
-        serial = pretrained_typer.annotate_corpus(_fresh(tables))
-        threaded = pretrained_typer.annotate_corpus(_fresh(tables), backend=ThreadedBackend(2))
-        assert _comparable(serial) == _comparable(threaded)
-
     def test_summary_reports_shard_transport_bytes(self, pretrained_typer, eval_corpus):
         tables = [table.copy() for table in eval_corpus][:4]
-        pretrained_typer.annotate_corpus(_fresh(tables), backend="multiprocess:2+shm")
+        pretrained_typer.annotate_corpus(_fresh(tables), backend="multiprocess:2")
         summary = pretrained_typer.summary()
         assert "shard_transport" in summary
-        assert summary["shard_transport"]["shm"]["shards"] > 0
-        assert summary["shard_transport"]["shm"]["bytes_shipped"] > 0
+        assert summary["shard_transport"]["pickle"]["shards"] > 0
+        assert summary["shard_transport"]["pickle"]["bytes_shipped"] > 0
 
 
 # ------------------------------------------------------- property-style fuzz
@@ -534,14 +395,12 @@ class TestTransportStatsAggregation:
         # Regression: the name-keyed delta aggregate double counted when a
         # transport was re-resolved mid-run (instance + aggregate both fed).
         reset_transport_stats()
-        transport = ShmTransport()
-        payload = transport.encode_shard(["not-a-table"])
-        transport.release(payload)
+        transport = _tcp()
+        transport.encode_shard(["not-a-table"])
         assert resolve_transport(transport) is transport  # mid-run re-resolution
         resolve_transport(transport)
-        payload = transport.encode_shard(["still-not-a-table"])
-        transport.release(payload)
-        aggregate = transport_stats()["shm"]
+        transport.encode_shard(["still-not-a-table"])
+        aggregate = transport_stats()["tcp"]
         assert transport.stats.shards == 2
         assert aggregate["shards"] == 2
         assert transport.stats.pickle_fallbacks == 2
@@ -551,36 +410,36 @@ class TestTransportStatsAggregation:
         reset_transport_stats()
         first, second = PickleTransport(), PickleTransport()
         for transport in (first, second):
-            transport.release(transport.encode_shard(["x"]))
+            transport.encode_shard(["x"])
         assert transport_stats()["pickle"]["shards"] == 2
 
     def test_retired_instances_keep_their_counts(self):
         import gc
 
         reset_transport_stats()
-        transport = ShmTransport()
-        transport.release(transport.encode_shard(["not-a-table"]))
+        transport = _tcp()
+        transport.encode_shard(["not-a-table"])
         del transport
         gc.collect()
-        aggregate = transport_stats()["shm"]
+        aggregate = transport_stats()["tcp"]
         assert aggregate["shards"] == 1
         assert aggregate["pickle_fallbacks"] == 1
 
     def test_reset_zeroes_the_aggregate_but_not_instances(self):
-        transport = ShmTransport()
-        transport.release(transport.encode_shard(["not-a-table"]))
+        transport = _tcp()
+        transport.encode_shard(["not-a-table"])
         reset_transport_stats()
-        assert "shm" not in transport_stats()
+        assert "tcp" not in transport_stats()
         assert transport.stats.shards == 1  # instance counters untouched
-        transport.release(transport.encode_shard(["again"]))
-        assert transport_stats()["shm"]["shards"] == 1  # only post-reset delta
+        transport.encode_shard(["again"])
+        assert transport_stats()["tcp"]["shards"] == 1  # only post-reset delta
 
     def test_unpickled_clone_is_a_distinct_stats_owner(self):
         reset_transport_stats()
-        transport = ShmTransport()
-        transport.release(transport.encode_shard(["not-a-table"]))
+        transport = _tcp()
+        transport.encode_shard(["not-a-table"])
         clone = pickle.loads(pickle.dumps(transport))
         assert clone.uid != transport.uid
         assert clone.stats.shards == 0
-        clone.release(clone.encode_shard(["other"]))
-        assert transport_stats()["shm"]["shards"] == 2
+        clone.encode_shard(["other"])
+        assert transport_stats()["tcp"]["shards"] == 2
